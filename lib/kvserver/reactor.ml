@@ -185,7 +185,9 @@ let shard_loop server shard () =
   Poller.set shard.poller shard.wake_rd ~read:true ~write:false;
   while not (Atomic.get server.stopping) do
     Poller.wait shard.poller ~timeout_ms:200 (fun fd readable writable ->
-        if fd = shard.wake_rd then adopt_new shard
+        (* A descriptor is an immediate int on Unix, so [==] is the
+           typed equality ([=] here would call [caml_equal]). *)
+        if fd == shard.wake_rd then adopt_new shard
         else
           match Hashtbl.find_opt shard.conns fd with
           | None -> ()

@@ -40,6 +40,32 @@ let unpack = function
           String.sub data s (e - s))
         offsets
 
+(* The [requested] columns of a stored value, in request order, read
+   straight from its representation: a projection of a [Flat] value
+   copies out only the requested bytes, never the whole value.  An index
+   outside the value reads as [""]. *)
+let rec project_into out j content n = function
+  | [] -> out
+  | i :: rest ->
+      if i >= 0 && i < n then
+        out.(j) <-
+          (match content with
+          | Cols a -> a.(i)
+          | Flat (data, offsets) ->
+              let s = if i = 0 then 0 else offsets.(i - 1) in
+              String.sub data s (offsets.(i) - s));
+      project_into out (j + 1) content n rest
+
+let project_content content requested =
+  let n = match content with Cols a -> Array.length a | Flat (_, o) -> Array.length o in
+  project_into (Array.make (List.length requested) "") 0 content n requested
+
+let project columns requested = project_content (Cols columns) requested
+
+let columns_of content = function
+  | None -> unpack content
+  | Some requested -> project_content content requested
+
 let content_of layout columns =
   match layout with Contiguous -> pack columns | Columnar -> Cols columns
 
@@ -271,14 +297,10 @@ let multi_get t keys =
       | Some { scontent = None; _ } | None -> None)
     (Tree.multi_get_pipelined t.tree keys)
 
-let select columns requested =
-  Array.of_list
-    (List.map
-       (fun i -> if i >= 0 && i < Array.length columns then columns.(i) else "")
-       requested)
-
 let get_columns t key cols =
-  Option.map (fun v -> select v.columns cols) (get_value t key)
+  match Tree.get t.tree key with
+  | Some { scontent = Some c; _ } -> Some (project_content c cols)
+  | Some { scontent = None; _ } | None -> None
 
 (* ---- writes ---- *)
 
@@ -442,9 +464,7 @@ let getrange t ~start ?columns ~limit f =
               match v.scontent with
               | None -> ()
               | Some content ->
-                  let cols = unpack content in
-                  let out = match columns with None -> cols | Some c -> select cols c in
-                  f k out;
+                  f k (columns_of content columns);
                   incr emitted;
                   if !emitted >= limit then raise Done))
      with Done -> ());
@@ -462,9 +482,7 @@ let getrange_rev t ?start ?columns ~limit f =
               match v.scontent with
               | None -> ()
               | Some content ->
-                  let cols = unpack content in
-                  let out = match columns with None -> cols | Some c -> select cols c in
-                  f k out;
+                  f k (columns_of content columns);
                   incr emitted;
                   if !emitted >= limit then raise Done))
      with Done -> ());
@@ -512,7 +530,7 @@ module Snapshot = struct
   let check_open s =
     if Atomic.get s.sclosed then invalid_arg "Store.Snapshot: use after close"
 
-  let read_value s key =
+  let read_content s key =
     check_open s;
     let at = version s in
     Schedpoint.hit sp_snap_read;
@@ -521,11 +539,11 @@ module Snapshot = struct
     | Some st -> (
         match resolve_at st ~at with
         | None | Some None -> None
-        | Some (Some c) -> Some (unpack c))
+        | Some (Some c) -> Some c)
 
-  let read s key = read_value s key
+  let read s key = Option.map unpack (read_content s key)
 
-  let read_columns s key cols = Option.map (fun v -> select v cols) (read_value s key)
+  let read_columns s key cols = Option.map (fun c -> project_content c cols) (read_content s key)
 
   let getrange s ~start ?columns ~limit f =
     check_open s;
@@ -541,11 +559,7 @@ module Snapshot = struct
                 match resolve_at st ~at with
                 | None | Some None -> ()
                 | Some (Some content) ->
-                    let cols = unpack content in
-                    let out =
-                      match columns with None -> cols | Some c -> select cols c
-                    in
-                    f k out;
+                    f k (columns_of content columns);
                     incr emitted;
                     if !emitted >= limit then raise Done))
        with Done -> ());

@@ -46,6 +46,12 @@ val get_columns : t -> string -> int list -> string array option
 
 val get_value : t -> string -> value option
 
+val project : string array -> int list -> string array
+(** [project columns requested]: the [requested] columns in request
+    order, an index outside [columns] reading as [""] — the projection
+    {!get_columns} and the scans apply to stored values, for callers
+    holding a full column array (the shard router's hot cache). *)
+
 val multi_get : t -> string array -> string array option array
 (** Batched full-value gets over the software-pipelined group-get path
     ({!Masstree_core.Tree.multi_get_pipelined}, docs/BATCHING.md): the

@@ -39,10 +39,12 @@ let slice_hi k ~off =
 
 let slice_lo k ~off = slice_hi k ~off:(off + 4)
 
-let compare_parts h1 l1 h2 l2 =
+let compare_parts (h1 : int) (l1 : int) (h2 : int) (l2 : int) =
   (* Both halves are nonnegative ints < 2^32, so plain int comparison is
-     the unsigned byte order. *)
-  if h1 <> h2 then compare h1 h2 else compare l1 l2
+     the unsigned byte order.  The annotations matter: unannotated, this
+     is inferred polymorphic and every routing step calls [caml_compare]
+     (test/dune's polymorphic-compare rule guards against that). *)
+  if h1 <> h2 then Int.compare h1 h2 else Int.compare l1 l2
 
 let parts_to_slice hi lo =
   Int64.logor
@@ -51,12 +53,6 @@ let parts_to_slice hi lo =
 
 let slice_hi64 s = Int64.to_int (Int64.shift_right_logical s 32)
 let slice_lo64 s = Int64.to_int (Int64.logand s 0xFFFFFFFFL)
-
-let parts_to_string hi lo ~len =
-  assert (len >= 0 && len <= 8);
-  String.init len (fun i ->
-      let half = if i < 4 then hi else lo in
-      Char.chr ((half lsr (8 * (3 - (i land 3)))) land 0xFF))
 
 let slice_len k ~off = min 8 (max 0 (String.length k - off))
 

@@ -37,10 +37,6 @@ val slice_hi64 : int64 -> int
 val slice_lo64 : int64 -> int
 (** Split an [int64] slice into its halves. *)
 
-val parts_to_string : int -> int -> len:int -> string
-(** [parts_to_string hi lo ~len] decodes the first [len] bytes of the
-    slice [(hi, lo)]; [slice_to_string] for the split representation. *)
-
 val slice_len : t -> off:int -> int
 (** [slice_len k ~off] is how many real key bytes the slice at [off]
     covers: [min 8 (max 0 (length k - off))]. *)

@@ -131,20 +131,20 @@ let border_perm b = Permutation.of_int (Atomic.get b.bperm)
 (* Order border entries by (slice, min(len, 9)); slices compare as (hi,
    lo) int pairs — both halves nonnegative < 2^32, so plain int compares
    give the unsigned byte order. *)
-let entry_cmp h1 l1 len1 h2 l2 len2 =
-  if h1 <> h2 then compare h1 h2
-  else if l1 <> l2 then compare l1 l2
-  else compare (min len1 suffix_len_marker) (min len2 suffix_len_marker)
+let entry_cmp (h1 : int) (l1 : int) (len1 : int) h2 l2 len2 =
+  if h1 <> h2 then Int.compare h1 h2
+  else if l1 <> l2 then Int.compare l1 l2
+  else Int.compare (Int.min len1 suffix_len_marker) (Int.min len2 suffix_len_marker)
 
 (* Compare the entry in [slot] against a probe key, reading straight from
    the cell — the descent/search hot path. *)
 let entry_cmp_at b slot ~kshi ~kslo ~klen =
   let h = slice_hi b slot in
-  if h <> kshi then compare h kshi
+  if h <> kshi then Int.compare h kshi
   else
     let l = slice_lo b slot in
-    if l <> kslo then compare l kslo
-    else compare (min (keylen b slot) suffix_len_marker) klen
+    if l <> kslo then Int.compare l kslo
+    else Int.compare (Int.min (keylen b slot) suffix_len_marker) klen
 
 let pp_border fmt b =
   let perm = border_perm b in

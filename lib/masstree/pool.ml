@@ -292,12 +292,27 @@ let blob_len t h =
     match oversize_find t h with Some s -> String.length s | None -> 0
   else blob_len_raw t h land bslab_mask
 
+(* Copy the blob's bytes into [dst] from [pos], clipped to [dst]'s end so
+   a garbage handle still cannot write out of bounds. *)
+let blob_blit t h dst pos =
+  if h < 0 then
+    match oversize_find t h with
+    | Some s -> Bytes.blit_string s 0 dst pos (Int.min (String.length s) (Bytes.length dst - pos))
+    | None -> ()
+  else begin
+    let len = Int.min (blob_len_raw t h land bslab_mask) (Bytes.length dst - pos) in
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set dst (pos + i) (bget t (h + blob_header + i))
+    done
+  end
+
 let blob_to_string t h =
   if h < 0 then
     match oversize_find t h with Some s -> s | None -> ""
   else begin
-    let len = blob_len_raw t h land bslab_mask in
-    String.init len (fun i -> bget t (h + blob_header + i))
+    let b = Bytes.create (blob_len_raw t h land bslab_mask) in
+    blob_blit t h b 0;
+    Bytes.unsafe_to_string b
   end
 
 (* Race-safe comparison of a blob against [key]'s bytes from [pos]: the

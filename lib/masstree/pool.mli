@@ -67,6 +67,11 @@ val blob_len : t -> int -> int
 
 val blob_to_string : t -> int -> string
 
+val blob_blit : t -> int -> Bytes.t -> int -> unit
+(** [blob_blit t h dst pos] copies the blob's {!blob_len} bytes into [dst]
+    from [pos] (clipped to [dst]'s end) — the scan's key build, straight
+    into the key's one allocation. *)
+
 val blob_matches_key : t -> int -> string -> pos:int -> bool
 (** [blob_matches_key t h k ~pos] compares the blob against [k]'s bytes
     from [pos] without allocating — the hot suffix check.  Race-safe on

@@ -148,7 +148,7 @@ let rec child_scan i nk j ~hi ~lo =
     child_scan i nk (j + 1) ~hi ~lo
   else j
 
-let child_index i ~hi ~lo = child_scan i (min i.inkeys width) 0 ~hi ~lo
+let child_index i ~hi ~lo = child_scan i (Int.min i.inkeys width) 0 ~hi ~lo
 
 (* Climb only — never write the climb result back into the hint.  The
    hint is refreshed by the thread that grows the root (ascend) or
@@ -278,7 +278,7 @@ let insertion_pos b perm ~hi ~lo ~klen =
 let rec get_layer t root_ref key off =
   let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
   let rem = String.length key - off in
-  let klen = min rem suffix_len_marker in
+  let klen = Int.min rem suffix_len_marker in
   get_retry t root_ref key off hi lo rem klen
 
 and get_retry t root_ref key off hi lo rem klen =
@@ -440,7 +440,7 @@ let multi_get t keys =
                   if Version.deleted f.fver then finish f `Fallback
                   else begin
                     let rem = String.length f.fkey in
-                    let klen = min rem suffix_len_marker in
+                    let klen = Int.min rem suffix_len_marker in
                     let outcome =
                       match search_hit b (border_perm b) ~hi:f.fhi ~lo:f.flo ~klen with
                       | -1 -> `Notfound
@@ -561,7 +561,7 @@ let multi_get_pipelined t keys =
               qhi = Key.slice_hi key ~off:0;
               qlo = Key.slice_lo key ~off:0;
               qrem = rem;
-              qklen = min rem suffix_len_marker;
+              qklen = Int.min rem suffix_len_marker;
               qroot = t.root;
               qnode = !(t.root);
               qver = 0;
@@ -597,7 +597,7 @@ let multi_get_pipelined t keys =
           f.qhi <- Key.slice_hi f.qkey ~off:0;
           f.qlo <- Key.slice_lo f.qkey ~off:0;
           f.qrem <- String.length f.qkey;
-          f.qklen <- min f.qrem suffix_len_marker;
+          f.qklen <- Int.min f.qrem suffix_len_marker;
           f.qroot <- t.root;
           f.qstage <- P_root
         end
@@ -671,7 +671,7 @@ let multi_get_pipelined t keys =
               f.qhi <- Key.slice_hi f.qkey ~off:f.qoff;
               f.qlo <- Key.slice_lo f.qkey ~off:f.qoff;
               f.qrem <- f.qrem - 8;
-              f.qklen <- min f.qrem suffix_len_marker;
+              f.qklen <- Int.min f.qrem suffix_len_marker;
               f.qroot <- r;
               f.qstage <- P_root
           | Layer _ -> finish f `Notfound
@@ -1082,7 +1082,7 @@ type 'v located =
 
 (* Under the node lock, classify how (key at off) relates to b's entries. *)
 let locate b ~hi ~lo ~rem ~key ~off =
-  let klen = min rem suffix_len_marker in
+  let klen = Int.min rem suffix_len_marker in
   let perm = border_perm b in
   match search_hit b perm ~hi ~lo ~klen with
   | -1 -> Absent (insertion_pos b perm ~hi ~lo ~klen)
@@ -1621,90 +1621,120 @@ let update t key f =
 
 exception Scan_done
 
-(* A scan-side border entry: slice halves plus the suffix bytes
-   materialized from the pool (the snapshot must outlive the node's
-   storage, so the bytes are copied out while the version check can still
-   reject them). *)
-type 'v sentry = {
-  shi : int;
-  slo : int;
-  sklen : int;
-  ssuffix : string;
-  slv : 'v link_or_value;
+(* A border cursor: the live entries of one border node in key order,
+   copied into flat arrays by [cursor_fill] and validated against one
+   stable version.  A scan keeps one cursor per trie layer it is walking
+   and refills it node after node, so walking a layer allocates nothing
+   per entry.  Suffix handles are copied, not their bytes: a key is built
+   only when it is emitted or ties the bound on its slice, and it reads
+   its suffix blob then, after validation.  That read is safe because
+   the scan runs under [Epoch.pin]: a blob is immutable from allocation
+   until its epoch-deferred free, and a handle that validated was owned
+   by its slot while this scan was pinned, so its free waits for the
+   unpin (docs/CONCURRENCY.md). *)
+type 'v cursor = {
+  chi : int array;
+  clo : int array;
+  cklen : int array;
+  csuf : int array;
+  clv : 'v link_or_value array;
+  mutable cn : int; (* live entries *)
+  mutable cnext : 'v border option;
 }
 
-let read_sentry b slot =
-  let sklen = keylen b slot in
-  let ssuffix =
-    if sklen = suffix_len_marker then
-      match b.blv.(slot) with
-      | Value _ -> (
-          match suffix_string b slot with Some s -> s | None -> "")
-      | Layer _ | Empty -> ""
-    else ""
-  in
-  { shi = slice_hi b slot; slo = slice_lo b slot; sklen; ssuffix;
-    slv = b.blv.(slot) }
+let new_cursor () =
+  {
+    chi = Array.make width 0;
+    clo = Array.make width 0;
+    cklen = Array.make width 0;
+    csuf = Array.make width 0;
+    clv = Array.make width Empty;
+    cn = 0;
+    cnext = None;
+  }
 
-(* Validated snapshot of a border node: live entries in key order plus the
-   next pointer, all consistent with one stable version.  None if the node
-   is deleted (caller re-descends).
+(* [expect] for a forward scan: no anchor. *)
+let no_expect = -1
+
+(* Fill [c] from border [b] with entries and next pointer consistent with
+   one stable version.  False if the node is deleted (caller re-descends).
 
    [expect]: the stable version the caller's descent validated.  If the
    node's vsplit has moved past it — including while this function waits
    out a split in [Version.stable] — the node may no longer cover the
    range the descent targeted, and accepting it would silently narrow
-   the snapshot: a reverse scan positioned on the pre-split node would
-   lose every key that migrated to the new sibling.  Forward scans may
-   omit [expect]: split migration only moves keys right, where the
-   [bnext] chain still covers them. *)
-let snapshot_border ?expect t b =
-  let stale v =
-    match expect with
-    | Some v0 -> Version.vsplit v <> Version.vsplit v0
-    | None -> false
-  in
-  let rec loop () =
-    let v = Version.stable b.bversion in
-    if Version.deleted v || stale v then None
-    else begin
-      let perm = border_perm b in
-      let entries =
-        List.map (fun slot -> read_sentry b slot) (Permutation.live_slots perm)
-      in
-      let nxt = b.bnext in
-      (* Scan's validation window: a whole node snapshot extracted, not
-         yet checked (the §4.6.5 scan-vs-split/remove hazard). *)
-      Schedpoint.hit sp_snapshot_read;
-      let v' = Atomic.get b.bversion in
-      if Version.changed v v' then begin
-        Stats.incr t.tstats Stats.Local_retries;
-        (* vsplit moved: part of this node's range migrated away (or the
-           node died), so the descent that reached it is stale — the
-           caller must re-descend.  Retrying locally here would return a
-           narrowed node and a reverse scan would silently lose the
-           migrated keys.  Only insert-only changes retry in place. *)
-        if Version.vsplit v' <> Version.vsplit v then None else loop ()
-      end
-      else Some (entries, nxt)
+   the scan: a reverse scan positioned on the pre-split node would lose
+   every key that migrated to the new sibling.  Forward scans pass
+   [no_expect]: split migration only moves keys right, where the [bnext]
+   chain still covers them. *)
+let rec cursor_fill t c b ~expect =
+  let v = Version.stable b.bversion in
+  if Version.deleted v || (expect <> no_expect && Version.vsplit v <> Version.vsplit expect)
+  then false
+  else begin
+    let perm = border_perm b in
+    let n = Permutation.size perm in
+    for i = 0 to n - 1 do
+      let slot = Permutation.get perm i in
+      c.chi.(i) <- slice_hi b slot;
+      c.clo.(i) <- slice_lo b slot;
+      c.cklen.(i) <- keylen b slot;
+      c.csuf.(i) <- suffix_handle b slot;
+      c.clv.(i) <- b.blv.(slot)
+    done;
+    c.cn <- n;
+    c.cnext <- b.bnext;
+    (* Scan's validation window: a whole node copied out, not yet
+       checked (the §4.6.5 scan-vs-split/remove hazard). *)
+    Schedpoint.hit sp_snapshot_read;
+    let v' = Atomic.get b.bversion in
+    if Version.changed v v' then begin
+      Stats.incr t.tstats Stats.Local_retries;
+      (* vsplit moved: part of this node's range migrated away (or the
+         node died), so the descent that reached it is stale — the
+         caller must re-descend.  Retrying locally here would return a
+         narrowed node and a reverse scan would silently lose the
+         migrated keys.  Only insert-only changes retry in place. *)
+      Version.vsplit v' = Version.vsplit v && cursor_fill t c b ~expect
     end
-  in
-  loop ()
+    else true
+  end
 
-(* Reconstruct the within-layer key fragment a value entry stands for.
-   For layer entries the slice alone identifies the subtree; any leftover
-   suffix in the slot is stale data from before layer creation. *)
-let entry_rest e =
-  match e.slv with
-  | Layer _ -> Key.parts_to_string e.shi e.slo ~len:8
-  | Value _ | Empty ->
-      if e.sklen <= 8 then Key.parts_to_string e.shi e.slo ~len:e.sklen
-      else Key.parts_to_string e.shi e.slo ~len:8 ^ e.ssuffix
+(* The key entry [i] stands for, after [prefix] (the bytes consumed by
+   enclosing layers), built in one allocation.  A layer entry stands for
+   its 8 slice bytes: any suffix left in its slot is stale data from
+   before the layer was created. *)
+let cursor_key t c i prefix =
+  let klen = c.cklen.(i) in
+  let slen = Int.min klen 8 in
+  let h = match c.clv.(i) with Value _ when klen > 8 -> c.csuf.(i) | _ -> 0 in
+  let plen = String.length prefix in
+  let k = Bytes.create (plen + slen + if h = 0 then 0 else Pool.blob_len t.pool h) in
+  Bytes.blit_string prefix 0 k 0 plen;
+  let hi = c.chi.(i) and lo = c.clo.(i) in
+  for j = 0 to slen - 1 do
+    let half = if j < 4 then hi else lo in
+    Bytes.unsafe_set k (plen + j)
+      (Char.unsafe_chr ((half lsr (8 * (3 - (j land 3)))) land 0xFF))
+  done;
+  if h <> 0 then Pool.blob_blit t.pool h k (plen + 8);
+  Bytes.unsafe_to_string k
+
+(* Lexicographic order of [k]'s bytes from [off] against [s]. *)
+let rec compare_from k off s i =
+  let lk = String.length k - off and ls = String.length s in
+  if i = lk || i = ls then Int.compare lk ls
+  else
+    let c = Char.compare (String.unsafe_get k (off + i)) (String.unsafe_get s i) in
+    if c <> 0 then c else compare_from k off s (i + 1)
 
 (* Forward scan of one trie layer.  [prefix] is the key bytes consumed by
    enclosing layers; [lower]/[strict] bound the within-layer fragment.
-   Emission raises Scan_done to stop everywhere. *)
+   Entries order against the bound by slice; only a slice tie compares
+   bytes.  Emission raises Scan_done to stop everywhere. *)
 let rec scan_layer t root_ref prefix lower strict emit =
+  let c = new_cursor () in
+  let plen = String.length prefix in
   let rec run lower strict =
     let b, v =
       find_border t root_ref ~hi:(Key.slice_hi lower ~off:0)
@@ -1716,49 +1746,39 @@ let rec scan_layer t root_ref prefix lower strict emit =
     if Version.deleted v then raise Restart;
     walk b lower strict
   and walk b lower strict =
-    match snapshot_border t b with
-    | None ->
-        (* Node deleted under us: re-descend from the current bound. *)
-        run lower strict
-    | Some (entries, nxt) -> (
-        let last = process entries lower strict in
-        match nxt with
-        | Some nx -> (
-            match last with
-            | Some l -> walk nx l true
-            | None -> walk nx lower strict)
-        | None -> ())
-  and process entries lower strict =
-    let last = ref None in
-    List.iter
-      (fun e ->
-        let rest = entry_rest e in
-        (match e.slv with
-        | Layer r ->
-            let cs =
-              Key.compare_parts e.shi e.slo (Key.slice_hi lower ~off:0)
-                (Key.slice_lo lower ~off:0)
-            in
-            if cs > 0 then scan_layer t r (prefix ^ rest) "" false emit
-            else if cs = 0 then begin
-              if String.length lower > 8 then
-                scan_layer t r (prefix ^ rest)
-                  (String.sub lower 8 (String.length lower - 8))
-                  strict emit
-              else
-                (* The bound is a prefix of this slice, so every key in the
-                   subtree (slice bytes plus at least one more) exceeds it. *)
-                scan_layer t r (prefix ^ rest) "" false emit
-            end
-            (* cs < 0: the whole subtree is below the bound; skip. *)
-        | Value v ->
-            let c = String.compare rest lower in
-            let included = if strict then c > 0 else c >= 0 in
-            if included then emit (prefix ^ rest) v
-        | Empty -> ());
-        match e.slv with Empty -> () | _ -> last := Some rest)
-      entries;
-    !last
+    if not (cursor_fill t c b ~expect:no_expect) then
+      (* Node deleted under us: re-descend from the current bound. *)
+      run lower strict
+    else begin
+      let lhi = Key.slice_hi lower ~off:0 and llo = Key.slice_lo lower ~off:0 in
+      for i = 0 to c.cn - 1 do
+        let cs = Key.compare_parts c.chi.(i) c.clo.(i) lhi llo in
+        match c.clv.(i) with
+        | Layer r when cs = 0 && String.length lower > 8 ->
+            scan_layer t r (cursor_key t c i prefix)
+              (String.sub lower 8 (String.length lower - 8))
+              strict emit
+        | Layer r when cs >= 0 ->
+            (* Above the bound, or the bound is a prefix of this slice, so
+               every key in the subtree (slice bytes plus at least one
+               more) exceeds it. *)
+            scan_layer t r (cursor_key t c i prefix) "" false emit
+        | Value v when cs > 0 -> emit (cursor_key t c i prefix) v
+        | Value v when cs = 0 ->
+            let k = cursor_key t c i prefix in
+            let cmp = compare_from k plen lower 0 in
+            if cmp > 0 || (cmp = 0 && not strict) then emit k v
+        | Layer _ | Value _ | Empty -> () (* below the bound *)
+      done;
+      match c.cnext with
+      | Some nx ->
+          (* Keys a split moves right after this fill must not be
+             emitted twice: the next node starts strictly after this
+             node's last entry. *)
+          if c.cn > 0 then walk nx (cursor_key t c (c.cn - 1) "") true
+          else walk nx lower strict
+      | None -> ()
+    end
   in
   run lower strict
 
@@ -1798,7 +1818,9 @@ let scan t ?(start = "") ?stop ~limit f =
 let rec scan_rev_layer t root_ref prefix upper emit =
   (* [upper = None] means unbounded above within this layer. *)
   let max_half = 0xFFFFFFFF in
-  let start_hi, start_lo =
+  let c = new_cursor () in
+  let plen = String.length prefix in
+  let uhi, ulo =
     match upper with
     | None -> (max_half, max_half)
     | Some u -> (Key.slice_hi u ~off:0, Key.slice_lo u ~off:0)
@@ -1806,50 +1828,38 @@ let rec scan_rev_layer t root_ref prefix upper emit =
   let rec run bhi blo upper =
     let b, v = find_border t root_ref ~hi:bhi ~lo:blo in
     if Version.deleted v then raise Restart;
-    (* [expect:v] pins the snapshot to the version the descent
-       validated: a split between descent and snapshot re-descends
-       instead of returning a node that no longer covers the bound. *)
-    match snapshot_border ~expect:v t b with
-    | None -> run bhi blo upper (* changed underneath us: re-descend *)
-    | Some (entries, _) ->
-        process (List.rev entries) upper;
-        let lhi = b.blowhi and llo = b.blowlo in
-        if lhi > 0 || llo > 0 then
-          if llo > 0 then run lhi (llo - 1) None
-          else run (lhi - 1) max_half None
-  and process entries upper =
-    List.iter
-      (fun e ->
-        let rest = entry_rest e in
-        let within =
-          match upper with None -> true | Some u -> String.compare rest u <= 0
+    (* [expect:v] pins the fill to the version the descent validated: a
+       split between descent and fill re-descends instead of returning a
+       node that no longer covers the bound. *)
+    if not (cursor_fill t c b ~expect:v) then run bhi blo upper
+    else begin
+      for i = c.cn - 1 downto 0 do
+        let cs =
+          match upper with
+          | None -> -1
+          | Some _ -> Key.compare_parts c.chi.(i) c.clo.(i) uhi ulo
         in
-        match e.slv with
-        | Layer r ->
-            let sub_upper =
-              match upper with
-              | None -> None
-              | Some u ->
-                  let cs =
-                    Key.compare_parts e.shi e.slo (Key.slice_hi u ~off:0)
-                      (Key.slice_lo u ~off:0)
-                  in
-                  if cs < 0 then None
-                  else if cs > 0 then Some "" (* entire subtree above bound: skip *)
-                  else if String.length u > 8 then Some (String.sub u 8 (String.length u - 8))
-                  else Some "" (* subtree keys extend the bound: all above it *)
-            in
-            (match sub_upper with
-            | Some "" -> ()
-            | _ ->
-                scan_rev_layer t r
-                  (prefix ^ Key.parts_to_string e.shi e.slo ~len:8)
-                  sub_upper emit)
-        | Value v -> if within then emit (prefix ^ rest) v
-        | Empty -> ())
-      entries
+        match (c.clv.(i), upper) with
+        | Layer r, _ when cs < 0 -> scan_rev_layer t r (cursor_key t c i prefix) None emit
+        | Layer r, Some u when cs = 0 && String.length u > 8 ->
+            scan_rev_layer t r (cursor_key t c i prefix)
+              (Some (String.sub u 8 (String.length u - 8)))
+              emit
+        | Value v, _ when cs < 0 -> emit (cursor_key t c i prefix) v
+        | Value v, Some u when cs = 0 ->
+            let k = cursor_key t c i prefix in
+            if compare_from k plen u 0 <= 0 then emit k v
+        | _ ->
+            (* Above the bound, or a layer whose keys all extend a bound
+               equal to its slice. *)
+            ()
+      done;
+      let lhi = b.blowhi and llo = b.blowlo in
+      if lhi > 0 || llo > 0 then
+        if llo > 0 then run lhi (llo - 1) None else run (lhi - 1) max_half None
+    end
   in
-  run start_hi start_lo upper
+  run uhi ulo upper
 
 let scan_rev t ?start ?stop ~limit f =
   Stats.incr t.tstats Stats.Scans;

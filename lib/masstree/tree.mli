@@ -141,8 +141,9 @@ val scan :
     visited.  Like the paper's getrange, the scan is {e not} atomic with
     respect to concurrent inserts and removes: each visited binding was
     live at some point during the scan.  Schedule point
-    [tree.snapshot.read] fires after each per-border snapshot — the
-    instant a concurrent split or remove can invalidate it. *)
+    [tree.snapshot.read] fires after each border is copied into the
+    scan's cursor and before it is validated — the instant a concurrent
+    split or remove can invalidate it. *)
 
 val scan_rev :
   'v t -> ?start:Key.t -> ?stop:Key.t -> limit:int -> (Key.t -> 'v -> unit) -> int

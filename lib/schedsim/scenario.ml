@@ -246,6 +246,38 @@ let scenarios : t list =
         ];
     };
     {
+      name = "remove-vs-scan-suffix";
+      descr =
+        "slot reuse retires, frees and recycles a suffix blob the scan \
+         has validated but not yet read";
+      (* Each scan validates layer 0 — [hi] and [lo] with their suffix
+         handles, plus the [lk] layer link between them — then descends
+         into the layer (schedule points) before it builds the key on the
+         far side of the link.  Meanwhile the writer reuses that key's
+         slot for a new suffix (retiring the old blob), drains the epoch
+         and allocates a same-size blob that may recycle the memory.  The
+         oracle rejects any emitted key whose bytes were never written. *)
+      prepare =
+        (fun c ->
+          prepop c (lk "alpha");
+          prepop c (lk "beta");
+          prepop c "AAAAAAAA-low-1";
+          prepop c "QQQQQQQQ-high-1");
+      tasks =
+        [
+          ( "writer",
+            fun c ->
+              remove c "QQQQQQQQ-high-1";
+              put c "QQQQQQQQ-high-2";
+              remove c "AAAAAAAA-low-1";
+              put c "AAAAAAAA-low-2";
+              maintain c;
+              put c "RRRRRRRR-high-3";
+              put c "BBBBBBBB-low-3" );
+          ("scanner", fun c -> scan c; scan_rev c);
+        ];
+    };
+    {
       name = "slot-reuse-vs-get";
       descr = "remove then re-insert reuses a stale slot under a reader";
       prepare = (fun c -> for i = 1 to 4 do prepop c (k i) done);

@@ -209,10 +209,6 @@ let fill_eligible h hv =
 
 (* ---- point operations ---- *)
 
-let project columns full =
-  let w = Array.length full in
-  Array.of_list (List.map (fun i -> if i >= 0 && i < w then full.(i) else "") columns)
-
 (* Fill-eligible miss path: capture the slot stamp before the shard read
    and publish (columns, version) only if no write intervened. *)
 let get_fill t h hv key =
@@ -253,8 +249,9 @@ let get_columns ?(worker = 0) t key columns =
       note_get h ~worker key;
       if fill_eligible h hv then
         match Hotcache.find h.cache hv key with
-        | Some full -> Some (project columns full)
-        | None -> Option.map (project columns) (get_fill t h hv key)
+        | Some full -> Some (Kvstore.Store.project full columns)
+        | None ->
+            Option.map (fun full -> Kvstore.Store.project full columns) (get_fill t h hv key)
       else
         with_shard t (shard_of_h t hv key) (fun store ->
             Kvstore.Store.get_columns store key columns))

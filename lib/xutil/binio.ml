@@ -44,14 +44,12 @@ let write_u64 w v =
 
 let write_varint w n =
   assert (n >= 0);
-  let rec go n =
-    if n < 0x80 then write_u8 w n
-    else begin
-      write_u8 w (n land 0x7f lor 0x80);
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref n in
+  while !n >= 0x80 do
+    write_u8 w (!n land 0x7f lor 0x80);
+    n := !n lsr 7
+  done;
+  write_u8 w !n
 
 let write_raw w s =
   let n = String.length s in
@@ -110,13 +108,18 @@ let read_u64 r =
   r.pos <- r.pos + 8;
   v
 
+(* At most 9 bytes: 9 x 7 bits cover a 63-bit int.  A tenth byte would
+   shift past the word, so an overlong encoding reads as [Truncated]. *)
 let read_varint r =
-  let rec go shift acc =
-    let b = read_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
+  let b = ref (read_u8 r) in
+  let acc = ref (!b land 0x7f) and shift = ref 7 in
+  while !b >= 0x80 do
+    if !shift > 56 then raise Truncated;
+    b := read_u8 r;
+    acc := !acc lor ((!b land 0x7f) lsl !shift);
+    shift := !shift + 7
+  done;
+  !acc
 
 let read_raw r n =
   if n < 0 then raise Truncated;

@@ -59,5 +59,9 @@ val read_u16 : reader -> int
 val read_u32 : reader -> int
 val read_u64 : reader -> int64
 val read_varint : reader -> int
+(** Reads what {!write_varint} wrote.  Raises {!Truncated} on a short
+    buffer or on an encoding longer than 9 bytes (which would overflow
+    the int). *)
+
 val read_string : reader -> string
 val read_raw : reader -> int -> string

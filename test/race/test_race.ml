@@ -6,7 +6,8 @@
    own guarantees (determinism, exhaustive enumeration, bug detection,
    deadlock detection) on toy tasks, and the scenario library run for
    real at small budgets — including the reverse-scan-vs-split schedule
-   that exposed a genuine lost-keys bug in [snapshot_border]. *)
+   that exposed a genuine lost-keys bug in the scan's border read
+   ([cursor_fill]). *)
 
 module Schedpoint = Masstree_core.Schedpoint
 module Sched = Schedsim.Sched
@@ -253,8 +254,9 @@ let run_scenario ?(budget = 60) ?(seeds = 2) name () =
   done
 
 (* The schedule that exposed the reverse-scan-vs-split lost-keys bug in
-   [snapshot_border] (scanner snapshots the pre-split root, waits out
-   the split's dirty window, then must NOT accept the narrowed node). *)
+   the scan's border read, [cursor_fill] (scanner reads the pre-split
+   root, waits out the split's dirty window, then must NOT accept the
+   narrowed node). *)
 let test_scan_rev_split_regression () =
   let sc = Option.get (Scenario.find "split-vs-scan-rev") in
   let case =
@@ -297,6 +299,8 @@ let () =
             (run_scenario ~budget:300 ~seeds:6 "remove-vs-scan");
           Alcotest.test_case "scan_rev vs remove" `Quick
             (run_scenario ~budget:300 ~seeds:6 "remove-vs-scan-rev");
+          Alcotest.test_case "scan vs suffix recycle" `Quick
+            (run_scenario ~budget:300 ~seeds:6 "remove-vs-scan-suffix");
           Alcotest.test_case "multi_get vs insert wave" `Quick
             (run_scenario ~budget:300 ~seeds:6 "multiget-vs-insert-wave");
           Alcotest.test_case "scan_rev split regression" `Quick

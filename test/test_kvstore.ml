@@ -119,6 +119,44 @@ let test_getrange_columns () =
   check_bool "right keys and columns" true
     (List.rev !seen = [ ("05", [| "5" |]); ("06", [| "6" |]); ("07", [| "7" |]); ("08", [| "8" |]) ])
 
+(* Every column-projecting read must answer exactly what projecting the
+   full value would: request order kept, duplicates repeated, indexes
+   outside the value (past the end or negative) read as "". *)
+let projection_for layout () =
+  let module S = Kvstore.Store in
+  let s = S.create ~layout () in
+  let value i = [| "a" ^ string_of_int i; ""; String.make i 'c' |] in
+  for i = 0 to 9 do
+    S.put s (Printf.sprintf "k%d" i) (value i)
+  done;
+  let expect full req =
+    Array.of_list
+      (List.map (fun i -> if i >= 0 && i < Array.length full then full.(i) else "") req)
+  in
+  let requests = [ []; [ 0 ]; [ 2 ]; [ 2; 0; 2 ]; [ 1; 3 ]; [ -1; 0 ]; [ 7; -5 ] ] in
+  let snap = S.Snapshot.open_ s in
+  List.iter
+    (fun req ->
+      let what = String.concat ";" (List.map string_of_int req) in
+      cols ("get_columns " ^ what) (Some (expect (value 4) req)) (S.get_columns s "k4" req);
+      cols ("snapshot read_columns " ^ what) (Some (expect (value 6) req))
+        (S.Snapshot.read_columns snap "k6" req);
+      cols ("project " ^ what) (Some (expect (value 3) req)) (Some (S.project (value 3) req));
+      let scanned scan =
+        let seen = ref [] in
+        ignore (scan (fun k c -> seen := (k, c) :: !seen));
+        List.rev !seen
+      in
+      let model keys = List.map (fun i -> (Printf.sprintf "k%d" i, expect (value i) req)) keys in
+      check_bool ("getrange " ^ what) true
+        (scanned (S.getrange s ~start:"k2" ~columns:req ~limit:3) = model [ 2; 3; 4 ]);
+      check_bool ("getrange_rev " ^ what) true
+        (scanned (S.getrange_rev s ~start:"k5" ~columns:req ~limit:3) = model [ 5; 4; 3 ]);
+      check_bool ("snapshot getrange " ^ what) true
+        (scanned (S.Snapshot.getrange snap ~start:"k7" ~columns:req ~limit:5) = model [ 7; 8; 9 ]))
+    requests;
+  S.Snapshot.close snap
+
 let with_logged_store n_logs f =
   let dir = tmpdir () in
   let paths = List.init n_logs (fun i -> Filename.concat dir (Printf.sprintf "log%d" i)) in
@@ -333,6 +371,10 @@ let suite =
     Alcotest.test_case "versions increase" `Quick test_versions_increase;
     Alcotest.test_case "atomic multicolumn" `Slow test_atomic_multicolumn;
     Alcotest.test_case "getrange columns" `Quick test_getrange_columns;
+    Alcotest.test_case "column projection (contiguous)" `Quick
+      (projection_for Kvstore.Store.Contiguous);
+    Alcotest.test_case "column projection (columnar)" `Quick
+      (projection_for Kvstore.Store.Columnar);
     Alcotest.test_case "log + recover" `Quick test_log_recover_simple;
     Alcotest.test_case "recover idempotent" `Quick test_recover_is_idempotent;
     Alcotest.test_case "recover with checkpoint" `Quick test_recover_with_checkpoint;

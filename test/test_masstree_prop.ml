@@ -179,6 +179,69 @@ let prop_scan_mirror =
       (* Forward emission reversed = reverse emission. *)
       List.rev !fwd = !rev)
 
+(* Border-cursor edge cases: keys of 0-8 bytes that tie on the
+   zero-padded slice ("ab" vs "ab\000"), and 9-24-byte keys sharing
+   8-byte prefixes (suffix entries and trie layers, some two deep).
+   Bounds come from the same generator, so they tie with entries on the
+   slice, and removals leave stale slots behind.  Both scan directions
+   must equal the sorted model, values included. *)
+let gen_cursor_key =
+  QCheck.Gen.(
+    let byte = oneofl [ '\000'; 'a'; 'b'; '\255' ] in
+    let short = string_size ~gen:byte (0 -- 8) in
+    let prefix = oneofl [ "PPPPPPPP"; "ab\000\000\000\000\000\000"; "abababab" ] in
+    let tail =
+      oneof [ string_size ~gen:byte (1 -- 8); map (( ^ ) "QQQQQQQQ") (string_size ~gen:byte (0 -- 8)) ]
+    in
+    oneof [ short; map2 ( ^ ) prefix tail ])
+
+let prop_cursor_edges =
+  QCheck.Test.make ~name:"scan cursor edges vs sorted model" ~count:200
+    (QCheck.make
+       ~print:(fun (keys, dead, start, stop, limit) ->
+         Printf.sprintf "keys=[%s] removed=[%s] start=%s stop=%s limit=%d"
+           (String.concat "; " (List.map (Printf.sprintf "%S") keys))
+           (String.concat "; " (List.map (Printf.sprintf "%S") dead))
+           (match start with Some s -> Printf.sprintf "%S" s | None -> "-")
+           (match stop with Some s -> Printf.sprintf "%S" s | None -> "-")
+           limit)
+       QCheck.Gen.(
+         tup5
+           (list_size (0 -- 120) gen_cursor_key)
+           (list_size (0 -- 30) gen_cursor_key)
+           (opt gen_cursor_key) (opt gen_cursor_key)
+           (oneof [ 1 -- 40; return max_int ])))
+    (fun (keys, dead, start, stop, limit) ->
+      let t = Tree.create () in
+      List.iter (fun k -> ignore (Tree.put t k k)) keys;
+      List.iter (fun k -> ignore (Tree.remove t k)) dead;
+      let live =
+        List.filter (fun k -> not (List.mem k dead)) (List.sort_uniq String.compare keys)
+      in
+      let take l = List.of_seq (Seq.take limit (List.to_seq l)) in
+      let collect scan =
+        let got = ref [] in
+        ignore (scan (fun k v -> got := (k, v) :: !got));
+        List.rev !got
+      in
+      let pairs = List.map (fun k -> (k, k)) in
+      let fwd =
+        List.filter
+          (fun k ->
+            (match start with Some s -> String.compare k s >= 0 | None -> true)
+            && match stop with Some s -> String.compare k s < 0 | None -> true)
+          live
+      in
+      let rev =
+        List.filter
+          (fun k ->
+            (match start with Some s -> String.compare k s <= 0 | None -> true)
+            && match stop with Some s -> String.compare k s >= 0 | None -> true)
+          (List.rev live)
+      in
+      collect (Tree.scan t ?start ?stop ~limit) = pairs (take fwd)
+      && collect (Tree.scan_rev t ?start ?stop ~limit) = pairs (take rev))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~long:false prop_decimal;
@@ -188,4 +251,5 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false prop_remove_heavy_coalesce;
     QCheck_alcotest.to_alcotest ~long:false prop_pipelined_group_get;
     QCheck_alcotest.to_alcotest ~long:false prop_scan_mirror;
+    QCheck_alcotest.to_alcotest ~long:false prop_cursor_edges;
   ]

@@ -126,6 +126,33 @@ let test_binio_truncated () =
     | _ -> false
     | exception Xutil.Binio.Truncated -> true)
 
+(* Boundary values: the one-byte fast path ends at 127; max_int takes
+   the full 9 bytes.  Each encoding must also have its expected length. *)
+let test_binio_varint_bounds () =
+  List.iter
+    (fun (n, bytes) ->
+      let w = Xutil.Binio.writer ~capacity:1 () in
+      Xutil.Binio.write_varint w n;
+      check_int (Printf.sprintf "varint %d length" n) bytes (Xutil.Binio.length w);
+      let r = Xutil.Binio.reader (Xutil.Binio.contents w) in
+      check_int (Printf.sprintf "varint %d" n) n (Xutil.Binio.read_varint r);
+      check_int "exhausted" 0 (Xutil.Binio.remaining r))
+    [ (0, 1); (127, 1); (128, 2); (16383, 2); (16384, 3); (max_int, 9) ]
+
+let test_binio_varint_overlong () =
+  let raises s =
+    match Xutil.Binio.read_varint (Xutil.Binio.reader s) with
+    | _ -> false
+    | exception Xutil.Binio.Truncated -> true
+  in
+  (* Ten bytes, the first nine with the continuation bit: the tenth would
+     shift past bit 63. *)
+  check_bool "overlong raises" true (raises (String.make 9 '\x80' ^ "\x01"));
+  check_bool "endless continuation raises" true (raises (String.make 64 '\xff'));
+  check_bool "cut mid-varint raises" true (raises "\x80\x80");
+  check_int "nine bytes still read" (1 lsl 56)
+    (Xutil.Binio.read_varint (Xutil.Binio.reader (String.make 8 '\x80' ^ "\x01")))
+
 let prop_binio_strings =
   QCheck.Test.make ~name:"binio string roundtrip" ~count:500
     QCheck.(list (string_gen_of_size QCheck.Gen.(0 -- 50) QCheck.Gen.char))
@@ -300,6 +327,8 @@ let suite =
     Alcotest.test_case "crc incremental" `Quick test_crc_incremental;
     Alcotest.test_case "binio roundtrip" `Quick test_binio_roundtrip;
     Alcotest.test_case "binio truncated" `Quick test_binio_truncated;
+    Alcotest.test_case "binio varint bounds" `Quick test_binio_varint_bounds;
+    Alcotest.test_case "binio varint overlong" `Quick test_binio_varint_overlong;
     QCheck_alcotest.to_alcotest prop_binio_strings;
     Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
