@@ -13,10 +13,6 @@
 
 open Cmdliner
 
-let find_logs = Shard.Bootstrap.find_logs
-
-let find_checkpoints = Shard.Bootstrap.find_checkpoints
-
 let rm_rf = Shard.Bootstrap.rm_rf
 
 (* The two front ends (threaded accept loop vs event-driven reactor)
@@ -310,35 +306,12 @@ let run listen unix_sock data_dir n_logs checkpoint_secs udp_ports stats_interva
              done)
            ())
   in
+  (* Checkpoint a shard and reclaim its superseded logs and checkpoints
+     (§5 order: rotate, cut, mark, delete — see
+     [Kvstore.Store.checkpoint_reclaim]). *)
   let checkpoint_shard i =
-    let dir_base = shard_dirs.(i) in
-    let dir =
-      Filename.concat dir_base (Printf.sprintf "ckpt-%Ld" (Xutil.Clock.wall_us ()))
-    in
-    match Kvstore.Store.checkpoint stores.(i) ~dir ~writers:n_logs with
-    | Ok m ->
-        log "checkpoint written: %s" m;
-        (* Reclaim log space (§5): everything before the checkpoint is
-           now redundant.  Rotate each logger to a fresh file and delete
-           the superseded logs and older checkpoints. *)
-        let tag = Int64.to_string (Xutil.Clock.wall_us ()) in
-        let old_files = find_logs dir_base in
-        Array.iteri
-          (fun j l ->
-            Persist.Logger.rotate l
-              (Filename.concat dir_base (Printf.sprintf "log-%s-%d" tag j)))
-          shard_logs.(i);
-        (* Durable barrier before deleting anything: a marker in every
-           fresh log pushes the recovery cutoff past the checkpoint's
-           completion time, so if we crash midway through the deletions
-           below, recovery selects this checkpoint instead of depending
-           on the half-deleted log set. *)
-        Array.iter Persist.Logger.mark shard_logs.(i);
-        let current = Array.to_list (Array.map Persist.Logger.path shard_logs.(i)) in
-        List.iter
-          (fun f -> if not (List.mem f current) then try Sys.remove f with Sys_error _ -> ())
-          old_files;
-        List.iter (fun c -> if c <> dir then rm_rf c) (find_checkpoints dir_base)
+    match Kvstore.Store.checkpoint_reclaim stores.(i) ~dir:shard_dirs.(i) ~writers:n_logs with
+    | Ok m -> log "checkpoint written: %s" m
     | Error e -> Printf.eprintf "checkpoint failed: %s\n%!" e
   in
   let ckpt_thread =

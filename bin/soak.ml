@@ -32,16 +32,21 @@ let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_
   let dir = Filename.temp_file "soak" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  (* Per-shard log files, one per domain so ~worker:d maps to a private
-     log in every shard (shard 0 doubles as the single-store target). *)
-  let shard_log_paths =
+  (* A data directory per shard, laid out like the daemon's, with one
+     log per domain so ~worker:d maps to a private log in every shard
+     (shard 0 doubles as the single-store target). *)
+  let shard_dirs =
     Array.init n_shards (fun s ->
-        List.init domains (fun d -> Filename.concat dir (Printf.sprintf "s%d-log%d" s d)))
+        let d = Filename.concat dir (Printf.sprintf "shard-%d" s) in
+        Unix.mkdir d 0o755;
+        d)
   in
   let shard_loggers =
     Array.map
-      (fun paths -> Array.of_list (List.map Persist.Logger.create paths))
-      shard_log_paths
+      (fun sd ->
+        Array.init domains (fun d ->
+            Persist.Logger.create (Filename.concat sd (Printf.sprintf "log-0-%d" d))))
+      shard_dirs
   in
   let stores = Array.map (fun logs -> Kvstore.Store.create ~logs ()) shard_loggers in
   let store = stores.(0) in
@@ -83,7 +88,9 @@ let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_
              done)
            ())
   in
-  let checkpoints = Array.make n_shards [] in
+  (* Checkpoints reclaim as the daemon's do (rotate, cut, mark, delete),
+     so the recovery oracle below also covers writes acknowledged while
+     a checkpoint runs and its superseded logs are deleted. *)
   let ckpt_thread =
     Thread.create
       (fun () ->
@@ -94,14 +101,8 @@ let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_
             n := 0;
             Array.iteri
               (fun s st ->
-                let cd =
-                  Filename.concat dir
-                    (Printf.sprintf "s%d-ck%d" s (List.length checkpoints.(s)))
-                in
-                match Kvstore.Store.checkpoint st ~dir:cd ~writers:2 with
-                | Ok _ ->
-                    checkpoints.(s) <- cd :: checkpoints.(s);
-                    if verbose then Printf.printf "  checkpoint %s\n%!" cd
+                match Kvstore.Store.checkpoint_reclaim st ~dir:shard_dirs.(s) ~writers:2 with
+                | Ok m -> if verbose then Printf.printf "  checkpoint %s\n%!" m
                 | Error e -> Printf.eprintf "checkpoint failed: %s\n%!" e)
               stores
           end
@@ -578,8 +579,10 @@ let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_
   let recovered =
     Array.init n_shards (fun s ->
         match
-          Kvstore.Store.recover ~log_paths:shard_log_paths.(s)
-            ~checkpoint_dirs:checkpoints.(s) ()
+          Kvstore.Store.recover
+            ~log_paths:(Shard.Bootstrap.find_logs shard_dirs.(s))
+            ~checkpoint_dirs:(Shard.Bootstrap.find_checkpoints shard_dirs.(s))
+            ()
         with
         | Error e ->
             fail "recovery (shard %d): %s" s e;

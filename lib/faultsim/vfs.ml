@@ -35,7 +35,7 @@ let real =
       (fun path ->
         try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     readdir = Sys.readdir;
-    remove = Sys.remove;
+    remove = (fun path -> if Sys.is_directory path then Unix.rmdir path else Sys.remove path);
     rename = Sys.rename;
   }
 

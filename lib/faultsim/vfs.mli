@@ -25,7 +25,7 @@ type t = {
   exists : string -> bool;
   mkdir : string -> unit;  (** Create a directory; succeeds if it already exists. *)
   readdir : string -> string array;  (** Entry basenames, like [Sys.readdir]. *)
-  remove : string -> unit;  (** Delete a file (or an empty simulated directory). *)
+  remove : string -> unit;  (** Delete a file or an empty directory. *)
   rename : string -> string -> unit;
 }
 

@@ -4,61 +4,126 @@ type value = { version : int64; columns : string array }
 
 type layout = Contiguous | Columnar
 
-(* The two §4.7 value representations.  [Flat] packs all columns into one
-   string with an offset table — one allocation per value, whole-value
-   copy on every update.  [Cols] keeps one block per column — updates
-   share unmodified blocks structurally.  Both are immutable and swapped
-   in with a single store, so multi-column puts stay atomic. *)
+(* The two §4.7 value representations, plus the tombstone.  [Flat] is
+   one string holding every column — one allocation per value, a
+   whole-value copy on every update (block layout below).  [Cols] keeps
+   one block per column, so updates share unmodified blocks
+   structurally.  Both are immutable and swapped in with a single store,
+   so multi-column puts stay atomic.
+
+   [Tomb] is a removed value: during recovery a Remove record must shadow
+   older Put records that may arrive later from other logs, so removes
+   materialize as versioned tombstones and are swept once replay
+   finishes.  Live operation stores tombstones only while snapshots are
+   open (a remove must stay resolvable at older snapshot versions); the
+   prune pass deletes them once no snapshot can see past them. *)
 type content =
-  | Flat of string * int array (* data, column end-offsets *)
+  | Flat of string
   | Cols of string array
+  | Tomb
+
+(* A [Flat] block: the column count [n] as a varint, one byte giving the
+   offset width [w] (1, 2 or 4 bytes, the narrowest that holds the total
+   column size), [n] column end offsets of [w] bytes each (little-endian,
+   relative to the first column byte), then the column bytes back to
+   back.  A 10 x 4-byte value is a 52-byte string: 12 bytes of header. *)
+
+let offset_width total = if total < 0x100 then 1 else if total < 0x10000 then 2 else 4
+
+let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+
+let flat_count s =
+  let rec go p shift acc =
+    let b = Char.code (String.unsafe_get s p) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then acc else go (p + 1) (shift + 7) acc
+  in
+  go 0 0 0
+
+(* End offset [i] from the table at [tbl]. *)
+let flat_end s tbl w i =
+  match w with
+  | 1 -> String.get_uint8 s (tbl + i)
+  | 2 -> String.get_uint16_le s (tbl + (2 * i))
+  | _ -> Int32.to_int (String.get_int32_le s (tbl + (4 * i))) land 0xFFFF_FFFF
+
+(* Column [i < n] of a block whose offset table sits at [tbl] with
+   width [w]; the column bytes start at [tbl + n * w]. *)
+let flat_column s ~n ~tbl ~w i =
+  let st = if i = 0 then 0 else flat_end s tbl w (i - 1) in
+  String.sub s (tbl + (n * w) + st) (flat_end s tbl w i - st)
 
 let pack columns =
   let n = Array.length columns in
-  let offsets = Array.make n 0 in
   let total = ref 0 in
-  Array.iteri
-    (fun i c ->
-      total := !total + String.length c;
-      offsets.(i) <- !total)
-    columns;
-  let buf = Bytes.create !total in
-  let pos = ref 0 in
-  Array.iter
-    (fun c ->
-      Bytes.blit_string c 0 buf !pos (String.length c);
-      pos := !pos + String.length c)
-    columns;
-  Flat (Bytes.unsafe_to_string buf, offsets)
+  for i = 0 to n - 1 do
+    total := !total + String.length (Array.unsafe_get columns i)
+  done;
+  let w = offset_width !total in
+  let tbl = varint_size n + 1 in
+  let b = Bytes.create (tbl + (n * w) + !total) in
+  let rec count p n =
+    if n < 0x80 then Bytes.unsafe_set b p (Char.unsafe_chr n)
+    else begin
+      Bytes.unsafe_set b p (Char.unsafe_chr (n land 0x7f lor 0x80));
+      count (p + 1) (n lsr 7)
+    end
+  in
+  count 0 n;
+  Bytes.set_uint8 b (tbl - 1) w;
+  let pos = ref (tbl + (n * w)) and fin = ref 0 in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get columns i in
+    let len = String.length c in
+    Bytes.blit_string c 0 b !pos len;
+    pos := !pos + len;
+    fin := !fin + len;
+    match w with
+    | 1 -> Bytes.set_uint8 b (tbl + i) !fin
+    | 2 -> Bytes.set_uint16_le b (tbl + (2 * i)) !fin
+    | _ -> Bytes.set_int32_le b (tbl + (4 * i)) (Int32.of_int !fin)
+  done;
+  Flat (Bytes.unsafe_to_string b)
 
 let unpack = function
   | Cols a -> a
-  | Flat (data, offsets) ->
-      Array.mapi
-        (fun i e ->
-          let s = if i = 0 then 0 else offsets.(i - 1) in
-          String.sub data s (e - s))
-        offsets
+  | Tomb -> [||]
+  | Flat s ->
+      let n = flat_count s in
+      let tbl = varint_size n + 1 in
+      let w = String.get_uint8 s (tbl - 1) in
+      let out = Array.make n "" in
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i (flat_column s ~n ~tbl ~w i)
+      done;
+      out
 
 (* The [requested] columns of a stored value, in request order, read
    straight from its representation: a projection of a [Flat] value
    copies out only the requested bytes, never the whole value.  An index
    outside the value reads as [""]. *)
-let rec project_into out j content n = function
-  | [] -> out
+let rec project_cols out j a = function
+  | [] -> ()
   | i :: rest ->
-      if i >= 0 && i < n then
-        out.(j) <-
-          (match content with
-          | Cols a -> a.(i)
-          | Flat (data, offsets) ->
-              let s = if i = 0 then 0 else offsets.(i - 1) in
-              String.sub data s (offsets.(i) - s));
-      project_into out (j + 1) content n rest
+      if i >= 0 && i < Array.length a then out.(j) <- a.(i);
+      project_cols out (j + 1) a rest
+
+let rec project_flat out j s ~n ~tbl ~w = function
+  | [] -> ()
+  | i :: rest ->
+      if i >= 0 && i < n then out.(j) <- flat_column s ~n ~tbl ~w i;
+      project_flat out (j + 1) s ~n ~tbl ~w rest
 
 let project_content content requested =
-  let n = match content with Cols a -> Array.length a | Flat (_, o) -> Array.length o in
-  project_into (Array.make (List.length requested) "") 0 content n requested
+  let out = Array.make (List.length requested) "" in
+  (match content with
+  | Tomb -> ()
+  | Cols a -> project_cols out 0 a requested
+  | Flat s ->
+      let n = flat_count s in
+      let tbl = varint_size n + 1 in
+      project_flat out 0 s ~n ~tbl ~w:(String.get_uint8 s (tbl - 1)) requested);
+  out
 
 let project columns requested = project_content (Cols columns) requested
 
@@ -67,24 +132,19 @@ let columns_of content = function
   | Some requested -> project_content content requested
 
 let content_of layout columns =
-  match layout with Contiguous -> pack columns | Columnar -> Cols columns
+  match layout with Contiguous -> pack columns | Columnar -> Cols (Array.copy columns)
 
-(* Stored values carry an optional tombstone state: during recovery a
-   Remove record must shadow older Put records that may arrive later from
-   other logs, so removes materialize as versioned tombstones and are
-   swept once replay finishes.  Live operation stores tombstones only
-   while snapshots are open (a remove must stay resolvable at older
-   snapshot versions); the prune pass deletes them once no snapshot can
-   see past them.
+(* [sversion] is the write's store version, an immediate int (the clock
+   is an [int Atomic.t]; the int64 API converts at the edge).
 
    [schain] is the MVCC version chain (docs/MVCC.md): payloads this head
    retired that some open snapshot may still read, newest first.  The
    chain travels with the head — one atomic tree store publishes both —
    and is empty whenever no snapshot was open at overwrite time. *)
 type stored = {
-  sversion : int64;
-  scontent : content option;
-  schain : content option Mvcc.Chain.t;
+  sversion : int;
+  scontent : content;
+  schain : content Mvcc.Chain.t;
 }
 
 type t = {
@@ -132,7 +192,7 @@ let close t =
   Array.iter Persist.Logger.seal t.logs;
   Array.iter Persist.Logger.close t.logs
 
-let next_version t = Int64.of_int (Atomic.fetch_and_add t.clock 1)
+let next_version t = Atomic.fetch_and_add t.clock 1
 
 let max_version t = Int64.of_int (Atomic.get t.clock - 1)
 
@@ -146,14 +206,15 @@ let log_put t ~worker ~key ~version ~columns =
   | Some l ->
       Persist.Logger.append l
         (Persist.Logrec.Put
-           { key; version; timestamp = Xutil.Clock.wall_us (); columns })
+           { key; version = Int64.of_int version; timestamp = Xutil.Clock.wall_us (); columns })
 
 let log_remove t ~worker ~key ~version =
   match logger_for t worker with
   | None -> ()
   | Some l ->
       Persist.Logger.append l
-        (Persist.Logrec.Remove { key; version; timestamp = Xutil.Clock.wall_us () })
+        (Persist.Logrec.Remove
+           { key; version = Int64.of_int version; timestamp = Xutil.Clock.wall_us () })
 
 let default_worker () = (Domain.self () :> int)
 
@@ -174,21 +235,40 @@ let mvcc_versions_live t = Atomic.get t.versions_live
 let note_pending t key =
   Xutil.Spinlock.with_lock t.pending_lock (fun () -> Hashtbl.replace t.pending key ())
 
-(* Under the border lock: the chain for a new head that retires [old].
-   [chained] is the writer's post-mint read of the horizon — when no
-   snapshot was open, the retired payload is dead to everyone (any later
-   open pins a version >= this write's), so the chain collapses to empty
-   and the old entries die with it.  The caller applies [delta] to the
-   live-version count after the tree store completes. *)
-let retired_chain t ~chained ~delta ~len old =
+(* A chain this long is pruned on the spot, under the border lock of the
+   write that grew it: with one old snapshot open, all but one entry per
+   key are already dead, so rapid overwrites under a long-lived snapshot
+   (a checkpoint's cut) never build chains longer than this. *)
+let chain_prune_trigger = 4
+
+(* Under the border lock: the chain for a new head, at [version], that
+   retires [old].  [chained] is the writer's post-mint read of the
+   horizon — when no snapshot was open, the retired payload is dead to
+   everyone (any later open pins a version >= this write's), so the
+   chain collapses to empty and the old entries die with it.  A pushed
+   chain that reaches [chain_prune_trigger] is truncated to what the
+   open snapshots can read, with the horizon read here under the lock —
+   the same read [prune_pass] relies on (see there).  The caller applies
+   [delta] to the live-version count after the tree store completes and
+   keeps the key pending while [len], the installed chain's length, is
+   non-zero. *)
+let retired_chain t ~version ~chained ~delta ~len old =
   match old with
   | None -> Mvcc.Chain.empty
   | Some o ->
       if chained then begin
         let epoch = Epoch.global_epoch (Tree.epoch_manager t.tree) in
-        let c = Mvcc.Chain.push o.schain ~version:o.sversion ~epoch o.scontent in
-        delta := 1;
+        let c =
+          Mvcc.Chain.push o.schain ~version:(Int64.of_int o.sversion) ~epoch o.scontent
+        in
+        let c =
+          if Mvcc.Chain.length c < chain_prune_trigger then c
+          else
+            Mvcc.Chain.prune c ~death_of_head:(Int64.of_int version)
+              ~snapshots:(Mvcc.Horizon.versions t.snaps)
+        in
         len := Mvcc.Chain.length c;
+        delta := !len - Mvcc.Chain.length o.schain;
         c
       end
       else begin
@@ -198,6 +278,9 @@ let retired_chain t ~chained ~delta ~len old =
 
 let apply_version_delta t delta =
   if delta <> 0 then ignore (Atomic.fetch_and_add t.versions_live delta)
+
+let is_dead_tombstone st =
+  match st with { scontent = Tomb; schain = None; _ } -> true | _ -> false
 
 let prune_pass t =
   Schedpoint.hit sp_prune_pass;
@@ -235,7 +318,8 @@ let prune_pass t =
              | Some _ ->
                  let snapshots = Mvcc.Horizon.versions t.snaps in
                  let chain =
-                   Mvcc.Chain.prune st.schain ~death_of_head:st.sversion ~snapshots
+                   Mvcc.Chain.prune st.schain
+                     ~death_of_head:(Int64.of_int st.sversion) ~snapshots
                  in
                  delta := Mvcc.Chain.length chain - Mvcc.Chain.length st.schain;
                  if chain != Mvcc.Chain.empty then survived := true;
@@ -245,12 +329,9 @@ let prune_pass t =
          (new opens pin versions past it; see docs/MVCC.md) — delete it.
          [remove_if] re-checks under the lock, so a concurrent reinsert
          is never clobbered. *)
-      (match
-         Tree.remove_if t.tree key (fun st ->
-             st.scontent = None && st.schain = None)
-       with
+      match Tree.remove_if t.tree key is_dead_tombstone with
       | Some _ -> ()
-      | None -> if !survived then survivors := key :: !survivors))
+      | None -> if !survived then survivors := key :: !survivors)
     keys;
   match !survivors with
   | [] -> ()
@@ -262,45 +343,42 @@ let schedule_prune t =
   if not (Atomic.exchange t.prune_scheduled true) then
     Epoch.schedule (Tree.epoch_manager t.tree) (fun () -> prune_pass t)
 
-(* A chain this long means rapid overwrites are outrunning reclamation
-   (with one old snapshot open, all but one entry per key are already
-   dead): self-schedule a pass so epoch ticks on the write path keep
-   chains bounded even when nothing closes a snapshot and no external
-   caller runs {!prune}.  Long-lived embedders should still call
-   [prune]/[maintain] periodically — ticks only fire while ops flow. *)
-let chain_prune_trigger = 4
-
-(* After a chained install: account the new entry and sample the chain
-   length (outside the border lock). *)
+(* After a chained install: account the new entry, sample the chain
+   length, and keep the key pending while its chain is non-empty so a
+   snapshot close (or the periodic {!prune}) reclaims what is left — all
+   outside the border lock. *)
 let note_chained t key ~delta ~len =
   apply_version_delta t delta;
-  if len > 0 then Obs.Registry.observe obs_chain_len len;
-  if delta > 0 then begin
+  if len > 0 then begin
+    Obs.Registry.observe obs_chain_len len;
     note_pending t key;
-    Schedpoint.hit sp_chain_installed;
-    if len >= chain_prune_trigger then schedule_prune t
+    Schedpoint.hit sp_chain_installed
   end
 
 (* ---- reads ---- *)
 
 let get_value t key =
   match Tree.get t.tree key with
-  | Some { sversion; scontent = Some c; _ } -> Some { version = sversion; columns = unpack c }
-  | Some { scontent = None; _ } | None -> None
+  | Some { scontent = Tomb; _ } | None -> None
+  | Some { sversion; scontent; _ } ->
+      Some { version = Int64.of_int sversion; columns = unpack scontent }
 
-let get t key = Option.map (fun v -> v.columns) (get_value t key)
+let get t key =
+  match Tree.get t.tree key with
+  | Some { scontent = Tomb; _ } | None -> None
+  | Some { scontent; _ } -> Some (unpack scontent)
 
 let multi_get t keys =
   Array.map
     (function
-      | Some { scontent = Some c; _ } -> Some (unpack c)
-      | Some { scontent = None; _ } | None -> None)
+      | Some { scontent = Tomb; _ } | None -> None
+      | Some { scontent; _ } -> Some (unpack scontent))
     (Tree.multi_get_pipelined t.tree keys)
 
 let get_columns t key cols =
   match Tree.get t.tree key with
-  | Some { scontent = Some c; _ } -> Some (project_content c cols)
-  | Some { scontent = None; _ } | None -> None
+  | Some { scontent = Tomb; _ } | None -> None
+  | Some { scontent; _ } -> Some (project_content scontent cols)
 
 (* ---- writes ---- *)
 
@@ -336,14 +414,13 @@ let put ?worker t key columns =
          len := 0;
          applied := false;
          match old with
-         | Some existing when Int64.compare existing.sversion version >= 0 ->
-             existing
+         | Some existing when existing.sversion >= version -> existing
          | _ ->
              applied := true;
              {
                sversion = version;
-               scontent = Some (content_of t.vlayout (Array.copy columns));
-               schain = retired_chain t ~chained ~delta ~len old;
+               scontent = content_of t.vlayout columns;
+               schain = retired_chain t ~version ~chained ~delta ~len old;
              }));
   if !applied then begin
     note_chained t key ~delta:!delta ~len:!len;
@@ -363,15 +440,10 @@ let put_columns ?worker t key updates =
          len := 0;
          applied := false;
          match old with
-         | Some existing when Int64.compare existing.sversion version >= 0 ->
-             existing
+         | Some existing when existing.sversion >= version -> existing
          | _ ->
          applied := true;
-         let base =
-           match old with
-           | Some { scontent = Some c; _ } -> unpack c
-           | Some { scontent = None; _ } | None -> [||]
-         in
+         let base = match old with Some { scontent; _ } -> unpack scontent | None -> [||] in
          let width =
            List.fold_left (fun w (i, _) -> max w (i + 1)) (Array.length base) updates
          in
@@ -385,8 +457,8 @@ let put_columns ?worker t key updates =
          result := merged;
          {
            sversion = version;
-           scontent = Some (content_of t.vlayout merged);
-           schain = retired_chain t ~chained ~delta ~len old;
+           scontent = content_of t.vlayout merged;
+           schain = retired_chain t ~version ~chained ~delta ~len old;
          }));
   if !applied then begin
     note_chained t key ~delta:!delta ~len:!len;
@@ -404,13 +476,13 @@ let remove ?worker t key =
        it.  Chain entries hanging off the old head die with it (their
        lifetimes all end before [version]). *)
     match Tree.remove t.tree key with
-    | Some { scontent = Some _; schain; _ } ->
+    | Some { scontent = Tomb; schain; _ } ->
+        apply_version_delta t (-Mvcc.Chain.length schain);
+        false
+    | Some { schain; _ } ->
         apply_version_delta t (-Mvcc.Chain.length schain);
         log_remove t ~worker ~key ~version;
         true
-    | Some { scontent = None; schain; _ } ->
-        apply_version_delta t (-Mvcc.Chain.length schain);
-        false
     | None -> false
   end
   else begin
@@ -425,7 +497,7 @@ let remove ?worker t key =
            removed := false;
            delta := 0;
            len := 0;
-           if Int64.compare old.sversion version >= 0 then
+           if old.sversion >= version then
              (* A concurrent writer already published a newer head: this
                 remove serializes before it and its effect is gone (see
                 the version-inversion note above [put]).  Tombstoning
@@ -433,17 +505,18 @@ let remove ?worker t key =
              old
            else
              match old.scontent with
-             | None -> old (* already a tombstone; nothing to remove *)
-             | Some _ ->
+             | Tomb -> old (* already a tombstone; nothing to remove *)
+             | Flat _ | Cols _ ->
                  removed := true;
                  {
                    sversion = version;
-                   scontent = None;
-                   schain = retired_chain t ~chained:true ~delta ~len (Some old);
+                   scontent = Tomb;
+                   schain = retired_chain t ~version ~chained:true ~delta ~len (Some old);
                  }));
     if !removed then begin
       note_chained t key ~delta:!delta ~len:!len;
-      (* The tombstone itself needs pruning once snapshots drain. *)
+      (* The tombstone itself needs pruning once snapshots drain, even
+         if its chain was pruned empty. *)
       note_pending t key;
       log_remove t ~worker ~key ~version;
       true
@@ -462,8 +535,8 @@ let getrange t ~start ?columns ~limit f =
        ignore
          (Tree.scan t.tree ~start ~limit:max_int (fun k v ->
               match v.scontent with
-              | None -> ()
-              | Some content ->
+              | Tomb -> ()
+              | content ->
                   f k (columns_of content columns);
                   incr emitted;
                   if !emitted >= limit then raise Done))
@@ -480,8 +553,8 @@ let getrange_rev t ?start ?columns ~limit f =
        ignore
          (Tree.scan_rev t.tree ?start ~limit:max_int (fun k v ->
               match v.scontent with
-              | None -> ()
-              | Some content ->
+              | Tomb -> ()
+              | content ->
                   f k (columns_of content columns);
                   incr emitted;
                   if !emitted >= limit then raise Done))
@@ -493,21 +566,29 @@ let cardinal t =
   let n = ref 0 in
   ignore
     (Tree.scan t.tree ~limit:max_int (fun _ v ->
-         match v.scontent with Some _ -> incr n | None -> ()));
+         match v.scontent with Tomb -> () | Flat _ | Cols _ -> incr n));
   !n
 
 (* ---- snapshots ---- *)
 
-(* The state of [key] as of version [at]: [None] = no version that old
-   (born later, or pruned — the opener's ordering makes the latter
-   unreachable for open snapshots); [Some None] = tombstone (absent);
-   [Some (Some c)] = the payload. *)
+(* The content of [st] visible at version [at]: the head's if it is old
+   enough, else the newest chain entry at or below [at]; [Tomb] (absent)
+   when there is no version that old (born later, or pruned — the
+   opener's ordering makes the latter unreachable for open snapshots). *)
 let resolve_at st ~at =
-  if Int64.compare st.sversion at <= 0 then Some st.scontent
+  if st.sversion <= at then st.scontent
   else
-    match Mvcc.Chain.find st.schain ~at with
-    | Some e -> Some e.Mvcc.Chain.payload
-    | None -> None
+    match Mvcc.Chain.find st.schain ~at:(Int64.of_int at) with
+    | Some e -> e.Mvcc.Chain.payload
+    | None -> Tomb
+
+(* The write version of the entry [resolve_at] picks. *)
+let resolved_version st ~at =
+  if st.sversion <= at then st.sversion
+  else
+    match Mvcc.Chain.find st.schain ~at:(Int64.of_int at) with
+    | Some e -> Int64.to_int e.Mvcc.Chain.version
+    | None -> st.sversion
 
 module Snapshot = struct
   type store = t
@@ -532,14 +613,11 @@ module Snapshot = struct
 
   let read_content s key =
     check_open s;
-    let at = version s in
+    let at = Int64.to_int (version s) in
     Schedpoint.hit sp_snap_read;
     match Tree.get s.sstore.tree key with
     | None -> None
-    | Some st -> (
-        match resolve_at st ~at with
-        | None | Some None -> None
-        | Some (Some c) -> Some c)
+    | Some st -> ( match resolve_at st ~at with Tomb -> None | c -> Some c)
 
   let read s key = Option.map unpack (read_content s key)
 
@@ -549,7 +627,7 @@ module Snapshot = struct
     check_open s;
     if limit <= 0 then 0
     else begin
-      let at = version s in
+      let at = Int64.to_int (version s) in
       let emitted = ref 0 in
       let exception Done in
       (try
@@ -557,8 +635,8 @@ module Snapshot = struct
            (Tree.scan s.sstore.tree ~start ~limit:max_int (fun k st ->
                 Schedpoint.hit sp_snap_read;
                 match resolve_at st ~at with
-                | None | Some None -> ()
-                | Some (Some content) ->
+                | Tomb -> ()
+                | content ->
                     f k (columns_of content columns);
                     incr emitted;
                     if !emitted >= limit then raise Done))
@@ -575,25 +653,17 @@ module Snapshot = struct
     check_open s;
     if limit <= 0 then 0
     else begin
-      let at = version s in
+      let at = Int64.to_int (version s) in
       let emitted = ref 0 in
       let exception Done in
       (try
          ignore
            (Tree.scan s.sstore.tree ~start ~limit:max_int (fun k st ->
                 Schedpoint.hit sp_snap_read;
-                let resolved =
-                  if Int64.compare st.sversion at <= 0 then
-                    Some (st.sversion, st.scontent)
-                  else
-                    match Mvcc.Chain.find st.schain ~at with
-                    | Some e -> Some (e.Mvcc.Chain.version, e.Mvcc.Chain.payload)
-                    | None -> None
-                in
-                match resolved with
-                | None | Some (_, None) -> ()
-                | Some (v, Some content) ->
-                    f k v (unpack content);
+                match resolve_at st ~at with
+                | Tomb -> ()
+                | content ->
+                    f k (Int64.of_int (resolved_version st ~at)) (unpack content);
                     incr emitted;
                     if !emitted >= limit then raise Done))
        with Done -> ());
@@ -693,6 +763,7 @@ let ensure_version_above t version = bump_clock t version
 
 let apply_put t ~key ~version ~columns =
   bump_clock t version;
+  let version = Int64.to_int version in
   let chained = Mvcc.Horizon.active t.snaps > 0 in
   let delta = ref 0 and len = ref 0 in
   ignore
@@ -700,17 +771,18 @@ let apply_put t ~key ~version ~columns =
          delta := 0;
          len := 0;
          match old with
-         | Some existing when Int64.compare existing.sversion version >= 0 -> existing
+         | Some existing when existing.sversion >= version -> existing
          | _ ->
              {
                sversion = version;
-               scontent = Some (content_of t.vlayout columns);
-               schain = retired_chain t ~chained ~delta ~len old;
+               scontent = content_of t.vlayout columns;
+               schain = retired_chain t ~version ~chained ~delta ~len old;
              }));
   note_chained t key ~delta:!delta ~len:!len
 
 let apply_remove t ~key ~version =
   bump_clock t version;
+  let version = Int64.to_int version in
   let chained = Mvcc.Horizon.active t.snaps > 0 in
   let delta = ref 0 and len = ref 0 in
   ignore
@@ -718,12 +790,12 @@ let apply_remove t ~key ~version =
          delta := 0;
          len := 0;
          match old with
-         | Some existing when Int64.compare existing.sversion version >= 0 -> existing
+         | Some existing when existing.sversion >= version -> existing
          | _ ->
              {
                sversion = version;
-               scontent = None;
-               schain = retired_chain t ~chained ~delta ~len old;
+               scontent = Tomb;
+               schain = retired_chain t ~version ~chained ~delta ~len old;
              }));
   note_chained t key ~delta:!delta ~len:!len
 
@@ -741,17 +813,18 @@ let apply_remove t ~key ~version =
 let migrate_put ?worker t ~key ~version ~columns =
   let worker = match worker with Some w -> w | None -> default_worker () in
   apply_put t ~key ~version ~columns;
-  log_put t ~worker ~key ~version ~columns
+  log_put t ~worker ~key ~version:(Int64.to_int version) ~columns
 
 let migrate_remove ?worker t ~key ~version =
   let worker = match worker with Some w -> w | None -> default_worker () in
   apply_remove t ~key ~version;
-  log_remove t ~worker ~key ~version
+  log_remove t ~worker ~key ~version:(Int64.to_int version)
 
 let iter_entries t f =
   ignore
     (Tree.scan t.tree ~limit:max_int (fun k v ->
-         f ~key:k ~version:v.sversion ~columns:(Option.map unpack v.scontent)))
+         f ~key:k ~version:(Int64.of_int v.sversion)
+           ~columns:(match v.scontent with Tomb -> None | c -> Some (unpack c))))
 
 (* ---- checkpoint / recovery ---- *)
 
@@ -765,7 +838,7 @@ let checkpoint ?vfs ?(snapshot = true) t ~dir ~writers =
        chains are never persisted ({!Persist.Checkpoint.entry} has no
        chain field; recovery replays single versions). *)
     let s = Snapshot.open_ t in
-    let at = Snapshot.version s in
+    let at = Int64.to_int (Snapshot.version s) in
     Fun.protect
       ~finally:(fun () -> Snapshot.close s)
       (fun () ->
@@ -774,19 +847,12 @@ let checkpoint ?vfs ?(snapshot = true) t ~dir ~writers =
                (* Resolve at the cut, keeping the resolved entry's own
                   version — the recovery replay guard compares per-key
                   versions against log records. *)
-               let resolved =
-                 if Int64.compare st.sversion at <= 0 then Some (st.sversion, st.scontent)
-                 else
-                   match Mvcc.Chain.find st.schain ~at with
-                   | Some e -> Some (e.Mvcc.Chain.version, e.Mvcc.Chain.payload)
-                   | None -> None
-               in
-               match resolved with
-               | Some (version, Some c) ->
+               match resolve_at st ~at with
+               | Tomb -> ()
+               | c ->
+                   let version = Int64.of_int (resolved_version st ~at) in
                    entries :=
-                     { Persist.Checkpoint.key = k; version; columns = unpack c }
-                     :: !entries
-               | Some (_, None) | None -> ())))
+                     { Persist.Checkpoint.key = k; version; columns = unpack c } :: !entries)))
   end
   else
     (* Legacy pull-based stream: the scan runs concurrently with normal
@@ -796,11 +862,15 @@ let checkpoint ?vfs ?(snapshot = true) t ~dir ~writers =
     ignore
       (Tree.scan t.tree ~limit:max_int (fun k v ->
            match v.scontent with
-           | Some c ->
+           | Tomb -> ()
+           | c ->
                entries :=
-                 { Persist.Checkpoint.key = k; version = v.sversion; columns = unpack c }
-                 :: !entries
-           | None -> ()));
+                 {
+                   Persist.Checkpoint.key = k;
+                   version = Int64.of_int v.sversion;
+                   columns = unpack c;
+                 }
+                 :: !entries));
   let remaining = ref !entries in
   let lock = Xutil.Spinlock.create () in
   let next () =
@@ -813,19 +883,67 @@ let checkpoint ?vfs ?(snapshot = true) t ~dir ~writers =
   in
   Persist.Checkpoint.write ?vfs ~dir ~writers ~began_us next
 
+(* Crash windows of the reclaim below: each superseded file about to be
+   unlinked. *)
+let fp_reclaim_unlink = Faultsim.Failpoint.define "ckpt.reclaim.unlink"
+let fp_reclaim_rm_ckpt = Faultsim.Failpoint.define "ckpt.reclaim.rm_ckpt"
+
+(* §5's order.  A put installs its value before it appends its log
+   record, so once every logger has rotated, each record in a superseded
+   log belongs to a write already installed — and minted — before the
+   cut that follows: the checkpoint covers it.  Records in the fresh
+   logs stamped before the checkpoint's [began] were likewise installed
+   before the cut; those stamped after it are replayed on top.  (Cutting
+   first and rotating after loses every put acknowledged in between: its
+   record sits in a log the reclaim deletes.)  The marks after the
+   manifest push every fresh log's durable timestamp past the
+   checkpoint's completion, so a crash midway through the deletions
+   still makes recovery pick this checkpoint. *)
+let checkpoint_reclaim ?(vfs = Faultsim.Vfs.real) t ~dir ~writers =
+  let tag = Int64.to_string (Xutil.Clock.wall_us ()) in
+  Array.iteri
+    (fun j l ->
+      Persist.Logger.rotate l (Filename.concat dir (Printf.sprintf "log-%s-%d" tag j)))
+    t.logs;
+  let ckpt = Filename.concat dir ("ckpt-" ^ tag) in
+  match checkpoint ~vfs t ~dir:ckpt ~writers with
+  | Error e -> Error e
+  | Ok manifest ->
+      Array.iter Persist.Logger.mark t.logs;
+      let current = Array.map Persist.Logger.path t.logs in
+      let remove p =
+        try vfs.Faultsim.Vfs.remove p with Sys_error _ | Unix.Unix_error _ -> ()
+      in
+      let files = vfs.Faultsim.Vfs.readdir dir in
+      Array.sort String.compare files;
+      Array.iter
+        (fun f ->
+          let p = Filename.concat dir f in
+          if String.starts_with ~prefix:"log-" f
+             && not (Array.exists (String.equal p) current)
+          then begin
+            Faultsim.Failpoint.hit fp_reclaim_unlink;
+            remove p
+          end
+          else if String.starts_with ~prefix:"ckpt-" f && not (String.equal p ckpt) then begin
+            Faultsim.Failpoint.hit fp_reclaim_rm_ckpt;
+            Array.iter (fun x -> remove (Filename.concat p x)) (vfs.Faultsim.Vfs.readdir p);
+            remove p
+          end)
+        files;
+      Ok manifest
+
 let sweep_tombstones t =
   let tombs = ref [] in
   ignore
     (Tree.scan t.tree ~limit:max_int (fun k v ->
-         match v.scontent with None -> tombs := k :: !tombs | Some _ -> ()));
+         match v.scontent with Tomb -> tombs := k :: !tombs | Flat _ | Cols _ -> ()));
   (* [remove_if] re-checks the tombstone state under the border lock, so
      a key concurrently reinstated between the scan and the sweep is
      left alone (this used to be a quiescent-only pass). *)
   List.iter
     (fun k ->
-      ignore
-        (Tree.remove_if t.tree k (fun st ->
-             st.scontent = None && st.schain = None)))
+      ignore (Tree.remove_if t.tree k is_dead_tombstone))
     !tombs
 
 let recover ?vfs ?logs ?layout ?replay_domains ?(keep_tombstones = false) ~log_paths

@@ -16,9 +16,13 @@ type value = { version : int64; columns : string array }
 
 type layout =
   | Contiguous
-      (** §4.7's small-value design: all columns packed into one
-          freshly-built block per update.  Reads touch one allocation;
-          column updates copy every byte of the value. *)
+      (** §4.7's small-value design: the value is one freshly-built
+          string per update — a small header (column count, an offset
+          width of 1, 2 or 4 bytes chosen from the value's size, the
+          column end offsets) followed by the column bytes.  Reads take
+          every column from that one block; column updates copy every
+          byte of the value.  A 10 x 4-byte record costs 16 heap words
+          with the tree's value box (docs/MEMORY.md §7). *)
   | Columnar
       (** §4.7's large-value design: one block per column.  Column
           updates copy only pointers to unmodified columns; reads of many
@@ -149,13 +153,16 @@ val mvcc_versions_live : t -> int
     [mvcc.versions_live] gauge. *)
 
 val prune : t -> unit
-(** Run one prune pass now.  Passes are normally self-scheduled — by
-    snapshot close, and by the write path when a chain grows past its
-    trigger length — and run at epoch tick/quiesce, so chains stay
-    bounded while operations flow.  Scheduled passes only run when
-    something ticks the epoch machinery: an embedder holding snapshots
-    open across idle periods should call [prune] (or {!maintain})
-    periodically, as the server daemon's timer thread does. *)
+(** Run one prune pass now over the keys whose chains are non-empty.
+    Writes bound chains themselves: a write whose chain reaches
+    {!chain_prune_trigger} entries prunes it inline, under its border
+    lock, so no chain outgrows the trigger while one snapshot is open.
+    Passes are scheduled by snapshot close and run at epoch
+    tick/quiesce; they reclaim what the inline prunes had to keep and
+    delete dead tombstones.  Scheduled passes only run when something
+    ticks the epoch machinery: an embedder holding snapshots open across
+    idle periods should call [prune] (or {!maintain}) periodically, as
+    the server daemon's timer thread does. *)
 
 val maintain : t -> unit
 (** Prune, then run the index's deferred epoch maintenance
@@ -195,6 +202,25 @@ val checkpoint :
     chain field).  [vfs] (default: the real filesystem) is how the
     crash-torture harness redirects checkpoint I/O onto a simulated
     disk. *)
+
+val checkpoint_reclaim :
+  ?vfs:Faultsim.Vfs.t -> t -> dir:string -> writers:int -> (string, string) result
+(** Checkpoint and reclaim log space (§5) in a data directory [dir] that
+    holds this store's logs ([log-*] files) and checkpoints ([ckpt-*]
+    directories), returning the new manifest path.  The order is what
+    makes it safe under concurrent writers:
+
+    + rotate every logger to a fresh [log-<tag>-<i>] in [dir];
+    + take the snapshot cut and write [ckpt-<tag>] ({!checkpoint});
+    + once the manifest is durable, write a durable {!Persist.Logger.mark}
+      in every fresh log, then delete every other [log-*] file and
+      [ckpt-*] directory in [dir].
+
+    A put installs its value before it logs, so every record in a
+    rotated-away log predates the cut and the checkpoint covers it; an
+    acknowledged put is never only in a deleted log.  On [Error] nothing
+    is deleted (the logs have rotated; the next call reclaims them).
+    Crash windows: [ckpt.reclaim.unlink], [ckpt.reclaim.rm_ckpt]. *)
 
 val recover :
   ?vfs:Faultsim.Vfs.t ->
@@ -253,6 +279,10 @@ val sweep_tombstones : t -> unit
     {!migrate_remove} (quiescent callers only). *)
 
 (** {1 Internal (replay + tests)} *)
+
+val chain_prune_trigger : int
+(** A write whose pushed chain reaches this length prunes it on the spot,
+    under its border lock, against the open snapshots. *)
 
 val apply_put : t -> key:string -> version:int64 -> columns:string array -> unit
 val apply_remove : t -> key:string -> version:int64 -> unit

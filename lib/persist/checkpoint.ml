@@ -22,46 +22,13 @@ let fp_manifest_begin = Faultsim.Failpoint.define "ckpt.manifest.begin"
 let fp_manifest_after_write = Faultsim.Failpoint.define "ckpt.manifest.after_write"
 let fp_manifest_after_fsync = Faultsim.Failpoint.define "ckpt.manifest.after_fsync"
 
-let encode_entry w e =
-  let pw = Binio.writer () in
-  Binio.write_u64 pw e.version;
-  Binio.write_string pw e.key;
-  Binio.write_varint pw (Array.length e.columns);
-  Array.iter (Binio.write_string pw) e.columns;
-  let payload = Binio.contents pw in
-  Binio.write_u32 w (Int32.to_int (Crc32c.mask (Crc32c.digest_string payload)) land 0xFFFFFFFF);
-  Binio.write_u32 w (String.length payload);
-  Binio.write_raw w payload
+let write_entry w e =
+  Binio.write_u64 w e.version;
+  Binio.write_string w e.key;
+  Binio.write_varint w (Array.length e.columns);
+  Array.iter (Binio.write_string w) e.columns
 
-let decode_entries data =
-  let rec go pos acc =
-    if pos >= String.length data then Ok (List.rev acc)
-    else if String.length data - pos < 8 then Error "truncated part"
-    else begin
-      let r = Binio.reader ~pos data in
-      let crc = Int32.of_int (Binio.read_u32 r) in
-      let len = Binio.read_u32 r in
-      if String.length data - pos - 8 < len then Error "truncated part"
-      else begin
-        let payload = String.sub data (pos + 8) len in
-        if not (Int32.equal (Crc32c.unmask crc) (Crc32c.digest_string payload)) then
-          Error "part crc mismatch"
-        else begin
-          let pr = Binio.reader payload in
-          match
-            let version = Binio.read_u64 pr in
-            let key = Binio.read_string pr in
-            let ncols = Binio.read_varint pr in
-            let columns = Array.init ncols (fun _ -> Binio.read_string pr) in
-            { key; version; columns }
-          with
-          | e -> go (pos + 8 + len) (e :: acc)
-          | exception Binio.Truncated -> Error "bad part payload"
-        end
-      end
-    end
-  in
-  go 0 []
+let encode_entry w e = Logrec.frame w write_entry e
 
 let write ?(vfs = Faultsim.Vfs.real) ~dir ~writers ~began_us next =
   assert (writers >= 1);
@@ -105,19 +72,18 @@ let write ?(vfs = Faultsim.Vfs.real) ~dir ~writers ~began_us next =
       (* All parts durable: publish the manifest. *)
       Faultsim.Failpoint.hit fp_manifest_begin;
       let finished = Clock.wall_us () in
-      let w = Binio.writer () in
-      Binio.write_u64 w began_us;
-      Binio.write_u64 w finished;
-      Binio.write_varint w writers;
-      List.iter (fun i -> Binio.write_string w (part_name i)) (List.init writers Fun.id);
-      let payload = Binio.contents w in
-      let crc = Crc32c.mask (Crc32c.digest_string payload) in
+      let fw = Binio.writer () in
+      Logrec.frame fw
+        (fun w () ->
+          Binio.write_u64 w began_us;
+          Binio.write_u64 w finished;
+          Binio.write_varint w writers;
+          for i = 0 to writers - 1 do
+            Binio.write_string w (part_name i)
+          done)
+        ();
       let mpath = Filename.concat dir manifest_file in
       let file = vfs.Faultsim.Vfs.open_out mpath in
-      let fw = Binio.writer () in
-      Binio.write_u32 fw (Int32.to_int crc land 0xFFFFFFFF);
-      Binio.write_u32 fw (String.length payload);
-      Binio.write_raw fw payload;
       Faultsim.Vfs.write_all file (Binio.contents fw);
       Faultsim.Failpoint.hit fp_manifest_after_write;
       file.Faultsim.Vfs.fsync ();
@@ -155,7 +121,9 @@ let read_manifest ?(vfs = Faultsim.Vfs.real) ~dir () =
         end)
   end
 
-let iter_part data f =
+(* The entries of a part file's contents [data] from byte [pos] (just
+   past the magic), each CRC-checked where it lies. *)
+let iter_part data ~pos f =
   let rec go pos n =
     if pos >= String.length data then Ok n
     else if String.length data - pos < 8 then Error "truncated part"
@@ -164,28 +132,23 @@ let iter_part data f =
       let crc = Int32.of_int (Binio.read_u32 r) in
       let len = Binio.read_u32 r in
       if String.length data - pos - 8 < len then Error "truncated part"
+      else if not (Logrec.crc_ok data ~crc ~pos:(pos + 8) ~len) then Error "part crc mismatch"
       else begin
-        let payload = String.sub data (pos + 8) len in
-        if not (Int32.equal (Crc32c.unmask crc) (Crc32c.digest_string payload)) then
-          Error "part crc mismatch"
-        else begin
-          let pr = Binio.reader payload in
-          match
-            let version = Binio.read_u64 pr in
-            let key = Binio.read_string pr in
-            let ncols = Binio.read_varint pr in
-            let columns = Array.init ncols (fun _ -> Binio.read_string pr) in
-            { key; version; columns }
-          with
-          | e ->
-              f e;
-              go (pos + 8 + len) (n + 1)
-          | exception Binio.Truncated -> Error "bad part payload"
-        end
+        match
+          let version = Binio.read_u64 r in
+          let key = Binio.read_string r in
+          let ncols = Binio.read_varint r in
+          let columns = Array.init ncols (fun _ -> Binio.read_string r) in
+          { key; version; columns }
+        with
+        | e when r.Binio.pos <= pos + 8 + len ->
+            f e;
+            go (pos + 8 + len) (n + 1)
+        | _ | (exception Binio.Truncated) -> Error "bad part payload"
       end
     end
   in
-  go 0 0
+  go pos 0
 
 let iter_entries ?(vfs = Faultsim.Vfs.real) ~dir m f =
   let rec go parts n =
@@ -201,7 +164,7 @@ let iter_entries ?(vfs = Faultsim.Vfs.real) ~dir m f =
               let magic = Binio.read_u32 r in
               if magic <> part_magic then Error "bad part magic"
               else begin
-                match iter_part (String.sub data 4 (String.length data - 4)) f with
+                match iter_part data ~pos:4 f with
                 | Ok k -> go rest (n + k)
                 | Error e -> Error e
               end
@@ -209,27 +172,11 @@ let iter_entries ?(vfs = Faultsim.Vfs.real) ~dir m f =
   in
   go m.parts 0
 
-let read_entries ?(vfs = Faultsim.Vfs.real) ~dir m =
-  let rec go parts acc =
-    match parts with
-    | [] -> Ok (List.concat (List.rev acc))
-    | p :: rest -> (
-        match vfs.Faultsim.Vfs.read_file (Filename.concat dir p) with
-        | exception e -> Error (Printexc.to_string e)
-        | data ->
-            if String.length data < 4 then Error "part too short"
-            else begin
-              let r = Binio.reader data in
-              let magic = Binio.read_u32 r in
-              if magic <> part_magic then Error "bad part magic"
-              else begin
-                match decode_entries (String.sub data 4 (String.length data - 4)) with
-                | Ok es -> go rest (es :: acc)
-                | Error e -> Error e
-              end
-            end)
-  in
-  go m.parts []
+let read_entries ?vfs ~dir m =
+  let es = ref [] in
+  match iter_entries ?vfs ~dir m (fun e -> es := e :: !es) with
+  | Ok _ -> Ok (List.rev !es)
+  | Error e -> Error e
 
 let load ?vfs ~dir () =
   match read_manifest ?vfs ~dir () with

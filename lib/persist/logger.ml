@@ -19,7 +19,7 @@ type t = {
   mutable file : Faultsim.Vfs.file;
   io_lock : Mutex.t; (* serializes file writes/fsync with rotation *)
   lock : Xutil.Spinlock.t;
-  buf : Buffer.t;
+  buf : Xutil.Binio.writer; (* framed records, appended in place under [lock] *)
   mutable nappended : int;
   mutable nsynced_bytes : int;
   mutable nflushes : int;
@@ -63,10 +63,10 @@ let fp_rotate_after_open = Faultsim.Failpoint.define "log.rotate.after_open"
 let flush_now t =
   let data =
     Xutil.Spinlock.with_lock t.lock (fun () ->
-        if Buffer.length t.buf = 0 then None
+        if Xutil.Binio.length t.buf = 0 then None
         else begin
-          let d = Buffer.contents t.buf in
-          Buffer.clear t.buf;
+          let d = Xutil.Binio.contents t.buf in
+          Xutil.Binio.reset t.buf;
           let oldest = t.oldest_us in
           t.oldest_us <- 0L;
           Some (d, oldest)
@@ -107,14 +107,24 @@ let tail_push r encoded =
     r.base_seq <- r.base_seq + 1
   done
 
+(* The record is framed straight into the shared buffer under the lock:
+   no per-record writer, and no copy unless the shipping tail keeps one.
+   (A per-domain scratch writer would not be safe here — systhreads
+   share a domain, and the flusher's idle markers, the checkpoint
+   thread's marks and a threaded front end all append from one.) *)
 let append_record t record =
-  let encoded = Logrec.encode_string record in
   Xutil.Spinlock.with_lock t.lock (fun () ->
-      if Buffer.length t.buf = 0 then t.oldest_us <- Xutil.Clock.wall_us ();
-      Buffer.add_string t.buf encoded;
+      let start = Xutil.Binio.length t.buf in
+      if start = 0 then t.oldest_us <- Xutil.Clock.wall_us ();
+      Logrec.encode t.buf record;
       t.nappended <- t.nappended + 1;
-      (match t.tail_ring with Some r -> tail_push r encoded | None -> ());
-      Buffer.length t.buf >= t.buffer_limit)
+      (match t.tail_ring with
+      | Some r ->
+          tail_push r
+            (Bytes.sub_string (Xutil.Binio.unsafe_bytes t.buf) start
+               (Xutil.Binio.length t.buf - start))
+      | None -> ());
+      Xutil.Binio.length t.buf >= t.buffer_limit)
 
 let flusher_loop t () =
   let tick = min 0.01 (t.sync_interval_s /. 4.0) in
@@ -130,7 +140,7 @@ let flusher_loop t () =
          and the min-over-logs cutoff would discard their newer durable
          updates.  When enabled, write a sync marker instead of skipping
          the flush, so every log's durable horizon keeps advancing. *)
-      if t.idle_markers && Buffer.length t.buf = 0 then
+      if t.idle_markers && Xutil.Binio.length t.buf = 0 then
         ignore (append_record t (Logrec.Marker { timestamp = Xutil.Clock.wall_us () }));
       flush_now t;
       last_sync := now
@@ -149,7 +159,7 @@ let create ?(vfs = Faultsim.Vfs.real) ?(buffer_limit = 1 lsl 20)
       file;
       io_lock = Mutex.create ();
       lock = Xutil.Spinlock.create ();
-      buf = Buffer.create 4096;
+      buf = Xutil.Binio.writer ~capacity:4096 ();
       nappended = 0;
       nsynced_bytes = 0;
       nflushes = 0;
@@ -190,9 +200,9 @@ let rotate t new_path =
         ~finally:(fun () -> Mutex.unlock t.io_lock)
         (fun () ->
           Faultsim.Failpoint.hit fp_rotate_begin;
-          if Buffer.length t.buf > 0 then begin
-            let d = Buffer.contents t.buf in
-            Buffer.clear t.buf;
+          if Xutil.Binio.length t.buf > 0 then begin
+            let d = Xutil.Binio.contents t.buf in
+            Xutil.Binio.reset t.buf;
             Faultsim.Vfs.write_all t.file d;
             t.nsynced_bytes <- t.nsynced_bytes + String.length d
           end;
@@ -236,7 +246,7 @@ let synced_bytes t = t.nsynced_bytes
 let flushes t = t.nflushes
 
 (* Racy by design: sampled by an obs gauge while appenders run. *)
-let buffered_bytes t = Buffer.length t.buf
+let buffered_bytes t = Xutil.Binio.length t.buf
 
 (* {1 Shipping tail} *)
 

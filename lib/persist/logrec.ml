@@ -46,14 +46,23 @@ let encode_payload w r =
       Binio.write_u8 w seal_kind;
       Binio.write_u64 w timestamp
 
-let encode w r =
-  let pw = Binio.writer () in
-  encode_payload pw r;
-  let payload = Binio.contents pw in
-  let crc = Crc32c.mask (Crc32c.digest_string payload) in
-  Binio.write_u32 w (Int32.to_int crc land 0xFFFFFFFF);
-  Binio.write_u32 w (String.length payload);
-  Binio.write_raw w payload
+(* Frame in place: reserve the 8-byte header, write the payload behind
+   it, then back-patch the CRC of that region and its length. *)
+let frame w write_payload x =
+  let start = Binio.length w in
+  Binio.write_u64 w 0L;
+  write_payload w x;
+  let len = Binio.length w - start - 8 in
+  let crc = Crc32c.mask (Crc32c.digest (Binio.unsafe_bytes w) ~pos:(start + 8) ~len) in
+  Binio.patch_u32 w ~pos:start (Int32.to_int crc land 0xFFFFFFFF);
+  Binio.patch_u32 w ~pos:(start + 4) len
+
+(* The CRC check of the frame whose [len]-byte payload starts at [pos],
+   computed where the payload lies. *)
+let crc_ok buf ~crc ~pos ~len =
+  Int32.equal (Crc32c.unmask crc) (Crc32c.digest (Bytes.unsafe_of_string buf) ~pos ~len)
+
+let encode w r = frame w encode_payload r
 
 let encode_string r =
   let w = Binio.writer () in
@@ -62,8 +71,7 @@ let encode_string r =
 
 type decode_result = Record of t * int | Need_more | Corrupt
 
-let decode_payload payload =
-  let r = Binio.reader payload in
+let decode_payload r =
   let kind = Binio.read_u8 r in
   let timestamp = Binio.read_u64 r in
   if kind = marker_kind then Marker { timestamp }
@@ -91,12 +99,12 @@ let decode buf ~pos =
     if len > 16 * 1024 * 1024 then Corrupt
     else if avail < 8 + len then Need_more
     else begin
-      let payload = String.sub buf (pos + 8) len in
-      if not (Int32.equal (Crc32c.unmask crc) (Crc32c.digest_string payload)) then Corrupt
+      if not (crc_ok buf ~crc ~pos:(pos + 8) ~len) then Corrupt
       else
-        match decode_payload payload with
-        | record -> Record (record, 8 + len)
-        | exception Binio.Truncated -> Corrupt
+        (* A payload must decode within its own frame. *)
+        match decode_payload r with
+        | record when r.Binio.pos <= pos + 8 + len -> Record (record, 8 + len)
+        | _ | (exception Binio.Truncated) -> Corrupt
     end
   end
 

@@ -35,7 +35,18 @@ val key : t -> string
 (** "" for markers and seals. *)
 
 val encode : Xutil.Binio.writer -> t -> unit
-(** [encode w r] appends the framed record to [w]. *)
+(** [encode w r] appends the framed record to [w], in place: no
+    intermediate payload buffer. *)
+
+val frame : Xutil.Binio.writer -> (Xutil.Binio.writer -> 'a -> unit) -> 'a -> unit
+(** [frame w write_payload x] appends [u32 masked-crc | u32 length |
+    payload] to [w], where [write_payload w x] writes the payload straight
+    into [w] behind the reserved header, which is back-patched — the
+    framing the log and the checkpoint parts share. *)
+
+val crc_ok : string -> crc:int32 -> pos:int -> len:int -> bool
+(** [crc_ok buf ~crc ~pos ~len]: does the masked [crc] match the
+    [len]-byte payload at [pos] of [buf]?  Checked in place. *)
 
 val encode_string : t -> string
 

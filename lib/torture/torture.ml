@@ -13,13 +13,11 @@ type summary = {
   violations : case list;
 }
 
-(* Crash windows the persist stack itself cannot see: the server's
+(* A crash window the persist stack itself cannot see: the server's
    startup sequence (fresh empty logs created, nothing written yet — the
-   historical empty-log cutoff hazard) and its post-checkpoint reclaim
-   loop (each superseded file about to be unlinked). *)
+   historical empty-log cutoff hazard).  The post-checkpoint reclaim's
+   windows ([ckpt.reclaim.*]) live in [Store.checkpoint_reclaim]. *)
 let fp_startup = Failpoint.define "torture.startup.logs_created"
-let fp_unlink = Failpoint.define "torture.reclaim.unlink"
-let fp_rm_ckpt = Failpoint.define "torture.reclaim.rm_ckpt"
 
 let dir = "disk"
 
@@ -140,35 +138,25 @@ let restart st tag =
   st.logs <- logs;
   bail st
 
-(* Post-checkpoint log reclaim, mirroring the daemon: checkpoint, rotate
-   every logger, a durable marker barrier (so the cutoff passes the
-   checkpoint's completion and half-done deletions below cannot lose
-   data), then unlink superseded logs and older checkpoints. *)
-let reclaim st tag ~writers =
-  let keep = checkpoint st ~writers in
-  Array.iteri
-    (fun i l ->
-      Persist.Logger.rotate l
-        (Filename.concat dir (Printf.sprintf "log-%s-%d" tag i));
-      bail st)
-    st.logs;
-  barrier st;
-  let current = Array.to_list (Array.map Persist.Logger.path st.logs) in
-  List.iter
-    (fun f ->
-      if not (List.mem f current) then begin
-        Failpoint.hit fp_unlink;
-        st.vfs.remove f
-      end)
-    (find_prefix st "log-");
-  List.iter
-    (fun c ->
-      if c <> keep then begin
-        Failpoint.hit fp_rm_ckpt;
-        Array.iter (fun f -> st.vfs.remove (Filename.concat c f)) (st.vfs.readdir c);
-        st.vfs.remove c
-      end)
-    (find_prefix st "ckpt-");
+(* Post-checkpoint log reclaim through the daemon's own routine
+   ([Store.checkpoint_reclaim]: rotate, cut, durable marks, unlink).  The
+   marks complete before the first unlink, so a reclaim that returned —
+   or crashed in one of its [ckpt.reclaim.*] deletion windows — is a
+   barrier. *)
+let reclaim st ~writers =
+  let marked () =
+    st.guaranteed <- st.model;
+    st.since_writes <- SMap.empty;
+    st.since_removed <- SSet.empty
+  in
+  (match Store.checkpoint_reclaim ~vfs:st.vfs st.store ~dir ~writers with
+  | Ok _ -> marked ()
+  | Error e ->
+      bail st;
+      failwith ("checkpoint reclaim failed: " ^ e)
+  | exception (Failpoint.Crash p as e) when String.starts_with ~prefix:"ckpt.reclaim." p ->
+      marked ();
+      raise e);
   bail st
 
 let script st =
@@ -198,7 +186,7 @@ let script st =
   remove st 4;
   put st 11;
   barrier st;
-  reclaim st "2" ~writers:2;
+  reclaim st ~writers:2;
   for i = 23 to 26 do put st i done;
   remove st 5;
   barrier st;

@@ -121,6 +121,40 @@ let test_store_chain_lifecycle () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Overwrites under a long-lived snapshot (a checkpoint's cut) are
+   bounded on the write path itself: no prune pass runs until the
+   snapshot closes, yet no chain grows past the trigger and the cut
+   stays readable throughout. *)
+let test_chains_bounded_inline () =
+  let store = Store.create () in
+  let n = 1000 and rounds = 16 in
+  let key i = Printf.sprintf "k%04d" i in
+  for i = 0 to n - 1 do
+    Store.put store (key i) (cols "cut")
+  done;
+  let s = Store.Snapshot.open_ store in
+  for r = 1 to rounds do
+    for i = 0 to n - 1 do
+      Store.put store (key i) (cols (string_of_int r))
+    done;
+    (* Every key has the same history, so the chains all have the same
+       length: the live count bounds each one. *)
+    let live = Store.mvcc_versions_live store in
+    if live > n * Store.chain_prune_trigger then
+      Alcotest.failf "round %d: %d chained versions over %d keys (trigger %d)" r live n
+        Store.chain_prune_trigger;
+    for i = 0 to n - 1 do
+      match Store.Snapshot.read s (key i) with
+      | Some [| "cut" |] -> ()
+      | _ -> Alcotest.failf "round %d: snapshot lost its cut for %s" r (key i)
+    done
+  done;
+  Store.Snapshot.close s;
+  Store.prune store;
+  check_int "versions reclaimed after close and prune" 0 (Store.mvcc_versions_live store);
+  Alcotest.(check (option string)) "head is the last round" (Some (string_of_int rounds))
+    (get_str store (key 0))
+
 let test_tombstone_visibility () =
   let store = Store.create () in
   Store.put store "a" (cols "va");
@@ -581,6 +615,7 @@ let () =
           Alcotest.test_case "chain lifecycle" `Quick test_store_chain_lifecycle;
           Alcotest.test_case "tombstone visibility" `Quick
             test_tombstone_visibility;
+          Alcotest.test_case "chains bounded inline" `Quick test_chains_bounded_inline;
         ] );
       ( "lease",
         [

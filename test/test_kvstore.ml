@@ -157,6 +157,149 @@ let projection_for layout () =
     requests;
   S.Snapshot.close snap
 
+(* Every read path returns what was put, for value shapes at the edges
+   of the [Contiguous] block header: no columns, empty columns, column
+   totals either side of the 1- and 2-byte offset widths, and a column
+   count past one varint byte. *)
+let value_shapes =
+  let two a b = [| String.make a 'a'; String.make b 'b' |] in
+  [
+    ("0 columns", [||]);
+    ("1 empty column", [| "" |]);
+    ("3 empty columns", [| ""; ""; "" |]);
+    ("total 255", two 100 155);
+    ("total 256", two 128 128);
+    ("total 65535", two 65535 0);
+    ("total 65536", two 1 65535);
+    ("300 columns", Array.init 300 string_of_int);
+    ("300 columns, total 255", Array.init 300 (fun i -> if i < 255 then "x" else ""));
+  ]
+
+let value_roundtrip_for layout () =
+  let module S = Kvstore.Store in
+  let s = S.create ~layout () in
+  List.iteri (fun i (_, v) -> S.put s (Printf.sprintf "k%02d" i) v) value_shapes;
+  let snap = S.Snapshot.open_ s in
+  List.iteri
+    (fun i (what, v) ->
+      let k = Printf.sprintf "k%02d" i in
+      let n = Array.length v in
+      cols ("get " ^ what) (Some v) (S.get s k);
+      cols ("multi_get " ^ what) (Some v) (S.multi_get s [| k |]).(0);
+      cols ("get_value " ^ what) (Some v)
+        (Option.map (fun x -> x.S.columns) (S.get_value s k));
+      let req = List.init (n + 2) (fun j -> n - j) in
+      let want = Array.of_list (List.map (fun j -> if j >= 0 && j < n then v.(j) else "") req) in
+      cols ("get_columns " ^ what) (Some want) (S.get_columns s k req);
+      cols ("snapshot read " ^ what) (Some v) (S.Snapshot.read snap k);
+      let first scan =
+        let got = ref None in
+        ignore (scan (fun k' c -> got := Some (k', c)));
+        !got
+      in
+      check_bool ("getrange " ^ what) true
+        (first (S.getrange s ~start:k ~limit:1) = Some (k, v));
+      check_bool ("getrange columns " ^ what) true
+        (first (S.getrange s ~start:k ~columns:req ~limit:1) = Some (k, want));
+      check_bool ("getrange_rev " ^ what) true
+        (first (S.getrange_rev s ~start:k ~limit:1) = Some (k, v));
+      check_bool ("snapshot getrange " ^ what) true
+        (first (S.Snapshot.getrange snap ~start:k ~limit:1) = Some (k, v));
+      (* Widen by two columns, the last one pushing the total up a byte. *)
+      S.put_columns s k [ (n + 1, "w") ];
+      cols ("put_columns widening " ^ what) (Some (Array.append v [| ""; "w" |])) (S.get s k);
+      cols ("snapshot keeps the old value " ^ what) (Some v) (S.Snapshot.read snap k))
+    value_shapes;
+  S.Snapshot.close snap;
+  (* Widening across the offset-width switch. *)
+  S.put s "w" [| String.make 255 'a' |];
+  S.put_columns s "w" [ (1, "b") ];
+  cols "widened past 255" (Some [| String.make 255 'a'; "b" |]) (S.get s "w");
+  S.put s "w" [| String.make 65535 'a' |];
+  S.put_columns s "w" [ (2, "b") ];
+  cols "widened past 65535" (Some [| String.make 65535 'a'; ""; "b" |]) (S.get s "w")
+
+(* The OCaml heap a 10 x 4-byte [Contiguous] record costs (the tree's
+   nodes and keys live in its off-heap arena).  A record is the tree's
+   value box, the stored record, [Flat] and one 52-byte string: 16 words.
+   Storing the version boxed, the tombstone as an option and the offsets
+   as a separate int array cost 32. *)
+let test_heap_per_record () =
+  let n = 10_000 in
+  let keys = Array.init n (Printf.sprintf "user%08d") in
+  let value = Array.init 10 (Printf.sprintf "c%03d") in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let s = Kvstore.Store.create ~layout:Kvstore.Store.Contiguous () in
+  Array.iter (fun k -> Kvstore.Store.put s k value) keys;
+  Gc.compact ();
+  let after = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity s);
+  let per_record = float_of_int (after - before) /. float_of_int n in
+  if per_record > 24.0 then
+    Alcotest.failf "%.1f live words per record (bound 24)" per_record
+
+(* Checkpoint-and-reclaim under a concurrent writer: every put the writer
+   saw acknowledged must survive a restart, including those landing
+   while a checkpoint is cut and written and its superseded logs are
+   deleted.  Each key is written once, so nothing later can cover a lost
+   record. *)
+let test_reclaim_keeps_acked_puts () =
+  let dir = tmpdir () in
+  let logs =
+    Array.init 2 (fun i ->
+        Persist.Logger.create (Filename.concat dir (Printf.sprintf "log-0-%d" i)))
+  in
+  let s = Kvstore.Store.create ~logs () in
+  let key i = Printf.sprintf "k%07d" i in
+  let acked = Atomic.make 0 and stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          Kvstore.Store.put ~worker:(!i land 1) s (key !i) [| string_of_int !i |];
+          incr i;
+          Atomic.set acked !i
+        done)
+  in
+  while Atomic.get acked < 1000 do
+    Domain.cpu_relax ()
+  done;
+  for _ = 1 to 4 do
+    match Kvstore.Store.checkpoint_reclaim s ~dir ~writers:2 with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "checkpoint_reclaim: %s" e
+  done;
+  Atomic.set stop true;
+  Domain.join writer;
+  Kvstore.Store.close s;
+  let find prefix =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (String.starts_with ~prefix)
+    |> List.map (Filename.concat dir)
+  in
+  check_int "one checkpoint left" 1 (List.length (find "ckpt"));
+  let recovered =
+    Kvstore.Store.recover ~log_paths:(find "log-") ~checkpoint_dirs:(find "ckpt") ()
+  in
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+  in
+  rm dir;
+  match recovered with
+  | Error e -> Alcotest.failf "recover: %s" e
+  | Ok (r, _) ->
+      let n = Atomic.get acked in
+      let lost = ref 0 in
+      for i = 0 to n - 1 do
+        if Kvstore.Store.get r (key i) <> Some [| string_of_int i |] then incr lost
+      done;
+      if !lost > 0 then Alcotest.failf "%d of %d acknowledged puts lost" !lost n
+
 let with_logged_store n_logs f =
   let dir = tmpdir () in
   let paths = List.init n_logs (fun i -> Filename.concat dir (Printf.sprintf "log%d" i)) in
@@ -375,6 +518,12 @@ let suite =
       (projection_for Kvstore.Store.Contiguous);
     Alcotest.test_case "column projection (columnar)" `Quick
       (projection_for Kvstore.Store.Columnar);
+    Alcotest.test_case "value round trip (contiguous)" `Quick
+      (value_roundtrip_for Kvstore.Store.Contiguous);
+    Alcotest.test_case "value round trip (columnar)" `Quick
+      (value_roundtrip_for Kvstore.Store.Columnar);
+    Alcotest.test_case "heap words per record" `Quick test_heap_per_record;
+    Alcotest.test_case "reclaim keeps acked puts" `Slow test_reclaim_keeps_acked_puts;
     Alcotest.test_case "log + recover" `Quick test_log_recover_simple;
     Alcotest.test_case "recover idempotent" `Quick test_recover_is_idempotent;
     Alcotest.test_case "recover with checkpoint" `Quick test_recover_with_checkpoint;

@@ -68,6 +68,9 @@ let test_crc_vectors () =
       ("abc", 0x364B3FB7l);
       ("123456789", 0xE3069283l);
       (String.make 32 '\x00', 0x8A9136AAl);
+      (String.make 32 '\xFF', 0x62A8AB43l);
+      (String.init 32 Char.chr, 0x46DD794El);
+      (String.init 32 (fun i -> Char.chr (31 - i)), 0x113FDB5Cl);
     ]
   in
   List.iter
@@ -88,6 +91,29 @@ let test_crc_incremental () =
   let part = Xutil.Crc32c.digest_string "hello " in
   let inc = Xutil.Crc32c.digest_string ~crc:part "world" in
   check_bool "incremental = whole" true (Int32.equal whole inc)
+
+(* The bit-at-a-time definition, the reference for the sliced tables. *)
+let crc_reference s ~pos ~len =
+  let c = ref 0xFFFF_FFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
+
+let test_crc_reference () =
+  let rng = Xutil.Rng.create 7L in
+  let buf = String.init 80 (fun _ -> Char.chr (Xutil.Rng.int rng 256)) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      let got = Xutil.Crc32c.digest (Bytes.of_string buf) ~pos ~len in
+      let want = crc_reference buf ~pos ~len in
+      if not (Int32.equal got want) then
+        Alcotest.failf "crc pos %d len %d: got %lx want %lx" pos len got want
+    done
+  done
 
 (* --- Binio --- *)
 
@@ -325,6 +351,7 @@ let suite =
     Alcotest.test_case "crc vectors" `Quick test_crc_vectors;
     Alcotest.test_case "crc mask" `Quick test_crc_mask_roundtrip;
     Alcotest.test_case "crc incremental" `Quick test_crc_incremental;
+    Alcotest.test_case "crc vs bitwise reference" `Quick test_crc_reference;
     Alcotest.test_case "binio roundtrip" `Quick test_binio_roundtrip;
     Alcotest.test_case "binio truncated" `Quick test_binio_truncated;
     Alcotest.test_case "binio varint bounds" `Quick test_binio_varint_bounds;
