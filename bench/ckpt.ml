@@ -10,9 +10,7 @@ open Bench_util
 
 let run scale =
   header "§5: checkpoint and recovery";
-  let dir = Filename.temp_file "ckptbench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Xutil.Tmpdir.scoped "ckptbench" in
   let log_paths = List.init 2 (fun i -> Filename.concat dir (Printf.sprintf "log%d" i)) in
   let logs = Array.of_list (List.map Persist.Logger.create log_paths) in
   let store = Kvstore.Store.create ~logs () in

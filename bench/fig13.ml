@@ -18,9 +18,7 @@ let records_for scale = min 200_000 scale.keys
 
 (* Measured Masstree through the full system path. *)
 let measure_masstree scale =
-  let dir = Filename.temp_file "f13" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Xutil.Tmpdir.scoped "f13" in
   let logs =
     Array.init 2 (fun i -> Persist.Logger.create (Filename.concat dir (Printf.sprintf "l%d" i)))
   in

@@ -36,9 +36,7 @@ let theta = 0.99
 let run scale =
   header "replication: bootstrap under writes + replica read offload";
   let domains = scale.domains in
-  let dir = Filename.temp_file "replbench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Xutil.Tmpdir.scoped "replbench" in
   (* Primary: 4 logged stores behind the router (shared mode for the
      load + writer; the Dedicated router for the measured rows comes
      later, over the same stores). *)

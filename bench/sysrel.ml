@@ -6,9 +6,7 @@
 open Bench_util
 
 let run_system scale make_store_ops =
-  let dir = Filename.temp_file "sysrel" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Xutil.Tmpdir.scoped "sysrel" in
   let log = Persist.Logger.create (Filename.concat dir "log") in
   let get_op, put_op, preload = make_store_ops () in
   let rng = Xutil.Rng.create 31L in

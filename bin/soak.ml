@@ -29,9 +29,8 @@ open Cmdliner
 let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_shards
     zipf_theta replica_mode verbose =
   let n_shards = max 1 n_shards in
-  let dir = Filename.temp_file "soak" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  (* Removed on success; kept (and printed) when an oracle fails. *)
+  let dir = Xutil.Tmpdir.fresh "soak" in
   (* A data directory per shard, laid out like the daemon's, with one
      log per domain so ~worker:d maps to a private log in every shard
      (shard 0 doubles as the single-store target). *)
@@ -235,6 +234,7 @@ let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_
                (Kvserver.Tcp.Unix_sock sock_path) backend))
     | other ->
         Printf.eprintf "soak: --net must be off|threaded|reactor, not %S\n" other;
+        Xutil.Tmpdir.rm_rf dir;
         exit 2
   in
   if verbose && server <> None then
@@ -610,10 +610,11 @@ let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_
        oracles);
   if Atomic.get failures = 0 then begin
     Printf.printf "soak: all invariants held\n";
+    Xutil.Tmpdir.rm_rf dir;
     0
   end
   else begin
-    Printf.printf "soak: %d failures\n" (Atomic.get failures);
+    Printf.printf "soak: %d failures; data kept in %s\n" (Atomic.get failures) dir;
     1
   end
 

@@ -6,17 +6,25 @@ type 'v link_or_value =
 and 'v node = Border of 'v border | Interior of 'v interior
 
 (* Border key payloads live off-heap in a {!Pool} cell (see pool.ml):
-   slices as (hi, lo) int pairs so hot comparisons never touch a boxed
-   int64, key lengths, and suffix-blob handles.  The record keeps only
-   what must be GC-scanned (values/layer links, sibling links) plus the
-   cell index.  Layout within a cell:
+   slices as (hi, lo) 32-bit halves so hot comparisons never touch a
+   boxed int64, key lengths, and suffix-blob handles.  The record keeps
+   only what must be GC-scanned (values/layer links, sibling links) plus
+   the cell index.  A cell is 32 words (256 B, four cache lines):
 
-     words 0..27   slice halves   slot i at (2i, 2i+1)
-     words 28..41  key lengths    slot i at 28+i
-     words 42..55  suffix handles slot i at 42+i  (0 = no suffix)
+     words 0..13   slot s at s:    hi in bits 0..31,
+                                   suffix handle in bits 32..62
+     words 14..27  slot s at 14+s: (lo lsl 4) lor klen
+     words 28..31  padding
+
+   The handle field is 30 bits of blob offset plus bit 30 flagging a
+   spilled (negative) handle; 0 means no suffix.  klen is 0..9 (9 is the
+   suffix marker), so the low word orders (lo, klen) exactly as the
+   lexicographic key order wants: a search scans the contiguous hi block
+   and reads one more word only on a hi tie.
 
    Field protection is unchanged from the boxed layout: cell words are
-   written only under the node's lock and read racily by validated
+   written only under the node's lock — a handle-only write
+   read-modify-writes its hi word — and read racily by validated
    readers (the pool's masked accessors make stale reads memory-safe). *)
 and 'v border = {
   bversion : Version.t Atomic.t;
@@ -44,21 +52,42 @@ let width = Permutation.width
 
 let suffix_len_marker = 9
 
-let klen_off = 2 * width
-let suf_off = 3 * width
+let lo_off = width
+let hi_mask = 0xFFFF_FFFF
+let handle_shift = 32
+let handle_mask = (1 lsl 31) - 1
+let spill_flag = 1 lsl 30
+let klen_mask = 0xF
+
+(* A blob handle as its 31-bit cell field and back: positive handles are
+   below 2^30 (see {!Pool.max_handle}); spilled ones are negative. *)
+let encode_handle h = if h >= 0 then h else spill_flag lor -h
+
+let decode_handle f =
+  if f land spill_flag = 0 then f else -(f land (spill_flag - 1))
+
+let hi_word b slot = Pool.get b.bpool (b.bcell + slot)
+let lo_word b slot = Pool.get b.bpool (b.bcell + lo_off + slot)
 
 (* Cell accessors; slot-indexed, allocation-free. *)
-let slice_hi b slot = Pool.get b.bpool (b.bcell + (2 * slot))
-let slice_lo b slot = Pool.get b.bpool (b.bcell + (2 * slot) + 1)
-let keylen b slot = Pool.get b.bpool (b.bcell + klen_off + slot)
-let suffix_handle b slot = Pool.get b.bpool (b.bcell + suf_off + slot)
+let slice_hi b slot = hi_word b slot land hi_mask
+let slice_lo b slot = lo_word b slot lsr 4
+let keylen b slot = lo_word b slot land klen_mask
 
-let set_slice b slot ~hi ~lo =
-  Pool.set b.bpool (b.bcell + (2 * slot)) hi;
-  Pool.set b.bpool (b.bcell + (2 * slot) + 1) lo
+let suffix_handle b slot =
+  decode_handle ((hi_word b slot lsr handle_shift) land handle_mask)
 
-let set_keylen b slot l = Pool.set b.bpool (b.bcell + klen_off + slot) l
-let set_suffix_handle b slot h = Pool.set b.bpool (b.bcell + suf_off + slot) h
+let set_hi_word b slot ~hi ~h =
+  Pool.set b.bpool (b.bcell + slot) (hi lor (encode_handle h lsl handle_shift))
+
+let set_lo_word b slot ~lo ~klen =
+  Pool.set b.bpool (b.bcell + lo_off + slot) ((lo lsl 4) lor klen)
+
+let set_entry b slot ~hi ~lo ~klen ~h =
+  set_hi_word b slot ~hi ~h;
+  set_lo_word b slot ~lo ~klen
+
+let set_suffix_handle b slot h = set_hi_word b slot ~hi:(slice_hi b slot) ~h
 
 let suffix_string b slot =
   let h = suffix_handle b slot in
@@ -137,14 +166,13 @@ let entry_cmp (h1 : int) (l1 : int) (len1 : int) h2 l2 len2 =
   else Int.compare (Int.min len1 suffix_len_marker) (Int.min len2 suffix_len_marker)
 
 (* Compare the entry in [slot] against a probe key, reading straight from
-   the cell — the descent/search hot path. *)
+   the cell — the descent/search hot path.  A hi tie falls through to the
+   fused low word, whose (lo lsl 4) lor klen orders (lo, klen) in one
+   compare. *)
 let entry_cmp_at b slot ~kshi ~kslo ~klen =
   let h = slice_hi b slot in
   if h <> kshi then Int.compare h kshi
-  else
-    let l = slice_lo b slot in
-    if l <> kslo then Int.compare l kslo
-    else Int.compare (Int.min (keylen b slot) suffix_len_marker) klen
+  else Int.compare (lo_word b slot) ((kslo lsl 4) lor klen)
 
 let pp_border fmt b =
   let perm = border_perm b in

@@ -9,14 +9,16 @@
     who validate with version snapshots afterwards.
 
     A border's key payload — slices, lengths, suffix bytes — lives
-    off-heap in a {!Pool} cell rather than in heap arrays: slices are
-    (hi, lo) immediate-int pairs in an int-kind Bigarray (an int64-kind
-    Bigarray would box every read), and suffixes are handles into the
-    pool's blob arena.  The record keeps only GC-scanned state: the value
-    slots, sibling/parent links, and the version/permutation words.  The
-    SoA cell layout also fixes which cache lines a search touches: all 14
-    slice pairs are contiguous (4 lines), where the boxed layout chased a
-    pointer per slice.
+    off-heap in a 32-word {!Pool} cell rather than in heap arrays: an
+    int-kind Bigarray (an int64-kind Bigarray would box every read) whose
+    word [s] holds slot [s]'s slice-hi and suffix-blob handle and whose
+    word [14+s] holds [(lo lsl 4) lor klen].  The record keeps only
+    GC-scanned state: the value slots, sibling/parent links, and the
+    version/permutation words.  The cell layout also fixes which cache
+    lines a search touches: the 14 hi words are contiguous (two lines),
+    and a hit reads one more word for (lo, klen) and finds its suffix
+    handle in the hi word it already loaded; the whole cell is the four
+    lines §4.2 sizes a node at.
 
     Field protection rules (§4.5): a node's fields are protected by its
     own lock, {e except} that a node's [parent] is protected by the
@@ -94,9 +96,12 @@ val slice_hi : 'v border -> int -> int
 val slice_lo : 'v border -> int -> int
 val keylen : 'v border -> int -> int
 val suffix_handle : 'v border -> int -> int
-val set_slice : 'v border -> int -> hi:int -> lo:int -> unit
-val set_keylen : 'v border -> int -> int -> unit
+val set_entry : 'v border -> int -> hi:int -> lo:int -> klen:int -> h:int -> unit
+(** Write a slot's whole key payload: two word stores. *)
+
 val set_suffix_handle : 'v border -> int -> int -> unit
+(** Rewrites the handle's word with the slot's slice-hi read back from it
+    (a read-modify-write under the node's lock, like every cell write). *)
 
 val suffix_string : 'v border -> int -> string option
 (** Materialize slot's suffix blob (cold paths: layer creation, scans,

@@ -47,16 +47,16 @@ let sp_free = Schedpoint.define "tree.pool.free"
 (* Geometry                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let cell_words = 64
-(* 14 slices x 2 words + 14 key lengths + 14 suffix handles = 56 words,
-   padded to a power of two so every cell is 512-byte aligned within its
-   slab and index arithmetic is shifts. *)
+let cell_words = 32
+(* 14 (hi | handle) words + 14 (lo | klen) words = 28 words, padded to a
+   power of two: 256 bytes, the four cache lines §4.2 sizes a node at,
+   aligned within the slab so index arithmetic is shifts. *)
 
-let cell_shift = 6
+let cell_shift = 5
 let () = assert (1 lsl cell_shift = cell_words)
 
 let slab_shift = 16
-let slab_words = 1 lsl slab_shift (* 512 KiB per cell slab, 1024 cells *)
+let slab_words = 1 lsl slab_shift (* 512 KiB per cell slab, 2048 cells *)
 let slab_mask = slab_words - 1
 
 let bslab_shift = 18
@@ -65,6 +65,11 @@ let bslab_mask = bslab_bytes - 1
 
 let max_slabs = 4096
 let slab_dir_mask = max_slabs - 1
+
+(* Blob handles are byte offsets below [max_slabs lsl bslab_shift] = 2^30;
+   spilled handles count down from -1 and are capped at the same
+   magnitude, so every handle fits a cell's 31-bit handle field. *)
+let max_handle = (max_slabs lsl bslab_shift) - 1
 
 let cell_chunk = 64 (* cells carved per free-list refill *)
 
@@ -406,6 +411,10 @@ let write_header t h len =
 
 let alloc_oversize t s =
   spin_lock t.olock;
+  if t.oversize_next > max_handle then begin
+    spin_unlock t.olock;
+    failwith "Pool: oversize handles exhausted"
+  end;
   let h = -t.oversize_next in
   t.oversize_next <- t.oversize_next + 1;
   Hashtbl.replace t.oversize h s;

@@ -6,8 +6,8 @@
 
     - the {e cell} arena: fixed-size word cells (an int-kind Bigarray, so
       reads and writes are allocation-free immediates) holding each border
-      node's whole key payload — slices as (hi, lo) int pairs, key
-      lengths, and suffix-blob handles;
+      node's whole key payload — slice halves, key lengths and
+      suffix-blob handles, packed two fields to a word;
     - the {e blob} arena: length-prefixed byte blocks in power-of-two size
       classes (16 B .. 256 KiB) for key suffixes and off-heap value bytes.
       A handle of [0] means "no blob"; oversize blobs spill to the OCaml
@@ -32,8 +32,13 @@ val create : unit -> t
 (** A fresh pool; slabs are allocated lazily on first use. *)
 
 val cell_words : int
-(** Words per cell (64: 14 slices x 2 + 14 lengths + 14 handles, padded
-    to a power of two). *)
+(** Words per cell (32: 14 slice-hi-and-handle words + 14
+    slice-lo-and-length words, padded to a power of two — 256 B, four
+    cache lines). *)
+
+val max_handle : int
+(** Every blob handle [h] satisfies [-max_handle <= h <= max_handle]
+    ([max_handle] = 2^30 - 1), so a handle packs into 31 bits. *)
 
 (** {1 Cells} *)
 

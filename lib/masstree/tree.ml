@@ -824,9 +824,7 @@ let read_mentry b slot =
   }
 
 let write_mentry b slot e =
-  set_slice b slot ~hi:e.mhi ~lo:e.mlo;
-  set_keylen b slot e.mklen;
-  set_suffix_handle b slot e.msuf;
+  set_entry b slot ~hi:e.mhi ~lo:e.mlo ~klen:e.mklen ~h:e.msuf;
   b.blv.(slot) <- e.mlv
 
 (* Insert into a border node with room, following the §4.6.2 protocol: fill

@@ -117,11 +117,11 @@ let masstree_sized_op sim ~n ~rank ~lines op =
    cost model.
 
    The walk itself is identical: the model already assumes the paper's
-   ideal node — four contiguous prefetched lines — and the pooled SoA
-   cell is precisely what {e earns} that assumption in OCaml (14 (hi, lo)
-   immediate-int slice pairs packed in one arena cell; the boxed layout
-   approximates it and the model has always been calibrated generously
-   toward it).  What the model can price honestly without recalibrating
+   ideal node — four contiguous prefetched lines — and the pooled cell
+   is that node in OCaml: 32 immediate-int words, 256 B, the 14 slice-hi
+   words (each carrying its slot's suffix handle) followed by 14 words
+   packing slice-lo with the key length (the boxed layout approximates
+   it and the model has always been calibrated generously toward it).  What the model can price honestly without recalibrating
    the read path is the allocator: the boxed layout pays the GC allocator
    for key storage and node arrays on every put — [alloc_cycles]
    amortizes the collector work that allocation buys — while the arena

@@ -86,6 +86,11 @@ let observe ?worker h v =
   if Atomic.get h.h_on then
     Histogram.add h.h_shards.(shard_id worker land h.h_mask) v
 
+let allocated_shards h =
+  Array.fold_left
+    (fun a s -> if Histogram.allocated s then a + 1 else a)
+    0 h.h_shards
+
 let gauge t name f = with_lock t (fun () -> Hashtbl.replace t.gauges name f)
 
 (* GC health as gauges: sampled (via the thunks) whenever a snapshot is

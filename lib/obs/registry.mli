@@ -57,6 +57,11 @@ val histogram : t -> string -> histo
 
 val observe : ?worker:int -> histo -> int -> unit
 
+val allocated_shards : histo -> int
+(** How many of the histogram's shards hold a bucket array.  Shards
+    allocate theirs on their first sample, so a histogram only one worker
+    records into costs one array, not one per shard. *)
+
 val gauge : t -> string -> (unit -> int) -> unit
 (** [gauge t name f] registers [f] to be sampled at snapshot time.
     Re-registering a name replaces the previous callback (so a

@@ -21,13 +21,7 @@
 let mkdir_p dir =
   try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> () (* path doesn't exist: rm -rf semantics *)
+let rm_rf = Xutil.Tmpdir.rm_rf
 
 let find_prefixed prefix dir =
   let plen = String.length prefix in

@@ -6,8 +6,12 @@ let sub = 1 lsl sub_bits
 let n_exp = 44 (* covers up to ~1.7e13 *)
 let n_buckets = n_exp * sub
 
+(* [counts] is allocated by the first [add] (or a [merge_into] of a
+   non-empty source): a registry shards every histogram 16 ways, and most
+   shards of most histograms never see a sample.  The empty array stands
+   for all-zero buckets. *)
 type t = {
-  counts : int array;
+  mutable counts : int array;
   mutable total_count : int;
   mutable total_sum : int;
   mutable maximum : int;
@@ -15,7 +19,7 @@ type t = {
 }
 
 let create () =
-  { counts = Array.make n_buckets 0; total_count = 0; total_sum = 0; maximum = 0;
+  { counts = [||]; total_count = 0; total_sum = 0; maximum = 0;
     minimum = max_int }
 
 let bucket_of v =
@@ -39,9 +43,15 @@ let value_of_bucket idx =
     ((sub + mantissa) lsl exp) + (1 lsl exp) - 1
   end
 
+let allocated h = Array.length h.counts > 0
+
+let ensure_counts h = if not (allocated h) then h.counts <- Array.make n_buckets 0
+
 let add h v =
   let v = if v < 0 then 0 else v in
-  h.counts.(bucket_of v) <- h.counts.(bucket_of v) + 1;
+  ensure_counts h;
+  let b = bucket_of v in
+  h.counts.(b) <- h.counts.(b) + 1;
   h.total_count <- h.total_count + 1;
   h.total_sum <- h.total_sum + v;
   if v > h.maximum then h.maximum <- v;
@@ -53,8 +63,11 @@ let mean h = if h.total_count = 0 then 0.0 else float_of_int h.total_sum /. floa
 let max_value h = h.maximum
 let min_value h = if h.total_count = 0 then 0 else h.minimum
 
+(* Readers capture [counts] once: a racy snapshot may see a sample's
+   count before the array that holds it. *)
 let percentile h p =
-  if h.total_count = 0 then 0
+  let counts = h.counts in
+  if h.total_count = 0 || Array.length counts = 0 then 0
   else begin
     let target =
       let t = int_of_float (ceil (p /. 100.0 *. float_of_int h.total_count)) in
@@ -68,7 +81,7 @@ let percentile h p =
     let rec go idx seen =
       if idx >= n_buckets then h.maximum
       else begin
-        let seen = seen + h.counts.(idx) in
+        let seen = seen + counts.(idx) in
         if seen >= target then max h.minimum (min (value_of_bucket idx) h.maximum)
         else go (idx + 1) seen
       end
@@ -77,16 +90,21 @@ let percentile h p =
   end
 
 let merge_into ~dst src =
-  for i = 0 to n_buckets - 1 do
-    dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
-  done;
+  let sc = src.counts in
+  if Array.length sc > 0 then begin
+    ensure_counts dst;
+    let dc = dst.counts in
+    for i = 0 to n_buckets - 1 do
+      dc.(i) <- dc.(i) + sc.(i)
+    done
+  end;
   dst.total_count <- dst.total_count + src.total_count;
   dst.total_sum <- dst.total_sum + src.total_sum;
   if src.maximum > dst.maximum then dst.maximum <- src.maximum;
   if src.minimum < dst.minimum then dst.minimum <- src.minimum
 
 let clear h =
-  Array.fill h.counts 0 n_buckets 0;
+  if allocated h then Array.fill h.counts 0 n_buckets 0;
   h.total_count <- 0;
   h.total_sum <- 0;
   h.maximum <- 0;

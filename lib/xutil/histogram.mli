@@ -1,8 +1,11 @@
 (** Log-bucketed latency/size histogram with percentile queries.
 
     Benchmarks record per-operation latencies here; buckets grow
-    geometrically so the structure is a fixed few hundred words regardless
-    of sample count, and recording is allocation-free. *)
+    geometrically so the structure is a fixed few thousand words
+    regardless of sample count, and recording is allocation-free after
+    the first sample.  The bucket array is allocated lazily, by the first
+    {!add} (or a {!merge_into} of a non-empty source): an empty histogram
+    is a few words. *)
 
 type t
 
@@ -35,3 +38,6 @@ val merge_into : dst:t -> t -> unit
 (** [merge_into ~dst src] adds [src]'s samples into [dst]. *)
 
 val clear : t -> unit
+
+val allocated : t -> bool
+(** Whether the bucket array exists yet (false until the first sample). *)

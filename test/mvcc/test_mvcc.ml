@@ -485,25 +485,11 @@ let test_shadow_sharded () =
 (* ------------------------------------------------------------------ *)
 
 let with_tmpdir f =
-  let dir = Filename.temp_file "mvccrestart" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    (fun () -> f dir)
-    ~finally:(fun () ->
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
-      rm dir)
+  let dir = Xutil.Tmpdir.fresh "mvccrestart" in
+  Fun.protect (fun () -> f dir) ~finally:(fun () -> Xutil.Tmpdir.rm_rf dir)
 
 let test_recovery_replays_heads_only () =
-  let dir = Filename.temp_file "mvccrec" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Xutil.Tmpdir.scoped "mvccrec" in
   let log_path = Filename.concat dir "log0" in
   let logs = [| Persist.Logger.create ~synchronous:true log_path |] in
   let store = Store.create ~logs () in

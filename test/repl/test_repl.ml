@@ -17,17 +17,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let tmpdir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "repl-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
+let tmpdir () = Xutil.Tmpdir.scoped "repl-test"
 
 (* A primary with [n_logs] manual-flush loggers and a Source over it. *)
 let make_primary ?tail_cap_bytes ?snap_chunk () =

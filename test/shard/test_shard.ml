@@ -195,11 +195,7 @@ let test_scan_merge_chunk_refill () =
 
 (* --- bootstrap: restart resharding --------------------------------- *)
 
-let tmpdir () =
-  let d = Filename.temp_file "shard-boot" "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
+let tmpdir () = Xutil.Tmpdir.scoped "shard-boot"
 
 let boot ?hot ~shards dir =
   match Bootstrap.boot ?hot ~data_dir:dir ~shards ~n_logs:2 () with

@@ -143,9 +143,7 @@ let test_tcp_server_many_clients () =
 
 let test_server_with_logging () =
   (* Full system path: network -> store -> log -> recovery. *)
-  let dir = Filename.temp_file "mtsrv" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Xutil.Tmpdir.scoped "mtsrv" in
   let log_path = Filename.concat dir "log0" in
   let logs = [| Persist.Logger.create ~synchronous:true log_path |] in
   let store = Kvstore.Store.create ~logs () in

@@ -4,11 +4,7 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let tmpdir () =
-  let d = Filename.temp_file "mtkv" "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
+let tmpdir () = Xutil.Tmpdir.scoped "mtkv"
 
 let cols = Alcotest.(check (option (array string)))
 
@@ -238,6 +234,23 @@ let test_heap_per_record () =
   let per_record = float_of_int (after - before) /. float_of_int n in
   if per_record > 24.0 then
     Alcotest.failf "%.1f live words per record (bound 24)" per_record
+
+(* Node-arena footprint of the MYCSB preload: border cells live per key.
+   A border cell is four cache lines (256 B) and the 100k-key population
+   needs about one cell per five keys, half of them fresh layer roots. *)
+let test_arena_per_key () =
+  let n = 100_000 in
+  let w = Workload.Ycsb.create ~records:n Workload.Ycsb.B in
+  let s = Kvstore.Store.create () in
+  for i = 0 to n - 1 do
+    Kvstore.Store.put s (Workload.Ycsb.key_of_rank w i) [| "v" |]
+  done;
+  let cells = (Kvstore.Store.pool_stats s).Masstree_core.Pool.cells_live in
+  let per_key =
+    float_of_int (cells * Masstree_core.Pool.cell_words * 8) /. float_of_int n
+  in
+  if per_key > 64.0 then
+    Alcotest.failf "%.1f arena bytes per key (%d cells, bound 64)" per_key cells
 
 (* Checkpoint-and-reclaim under a concurrent writer: every put the writer
    saw acknowledged must survive a restart, including those landing
@@ -523,6 +536,7 @@ let suite =
     Alcotest.test_case "value round trip (columnar)" `Quick
       (value_roundtrip_for Kvstore.Store.Columnar);
     Alcotest.test_case "heap words per record" `Quick test_heap_per_record;
+    Alcotest.test_case "arena bytes per key" `Quick test_arena_per_key;
     Alcotest.test_case "reclaim keeps acked puts" `Slow test_reclaim_keeps_acked_puts;
     Alcotest.test_case "log + recover" `Quick test_log_recover_simple;
     Alcotest.test_case "recover idempotent" `Quick test_recover_is_idempotent;

@@ -242,6 +242,56 @@ let prop_cursor_edges =
       collect (Tree.scan t ?start ?stop ~limit) = pairs (take fwd)
       && collect (Tree.scan_rev t ?start ?stop ~limit) = pairs (take rev))
 
+(* Keys that tie on their 8-byte slice and differ only in length: a head
+   zero-padded to each length 0-8 ("ab", "ab\000", ... all share the
+   slice), or padded to 8 and suffixed.  Border search orders such
+   entries by one fused (lo, keylen) compare, so get, scan and scan_rev
+   must still agree with String.compare. *)
+let gen_tie_key =
+  QCheck.Gen.(
+    let head = oneofl [ ""; "a"; "ab"; "\255"; "a\000b"; "abcd"; "abcdef\001" ] in
+    let tail = oneofl [ "\000"; "x"; "QQQQQQQQ"; "QQQQQQQQ\000"; "QQQQQQQQr" ] in
+    map3
+      (fun h n tl ->
+        let padded = h ^ String.make (8 - String.length h) '\000' in
+        if n <= 8 then String.sub padded 0 (Int.max n (String.length h))
+        else padded ^ tl)
+      head (0 -- 9) tail)
+
+let prop_length_ties =
+  QCheck.Test.make ~name:"slice ties ordered by length" ~count:200
+    (QCheck.make
+       ~print:(fun (keys, dead, start) ->
+         Printf.sprintf "keys=[%s] removed=[%s] start=%S"
+           (String.concat "; " (List.map (Printf.sprintf "%S") keys))
+           (String.concat "; " (List.map (Printf.sprintf "%S") dead))
+           start)
+       QCheck.Gen.(
+         triple (list_size (0 -- 80) gen_tie_key) (list_size (0 -- 20) gen_tie_key)
+           gen_tie_key))
+    (fun (keys, dead, start) ->
+      let t = Tree.create () in
+      List.iter (fun k -> ignore (Tree.put t k k)) keys;
+      List.iter (fun k -> ignore (Tree.remove t k)) dead;
+      let live =
+        List.filter (fun k -> not (List.mem k dead)) (List.sort_uniq String.compare keys)
+      in
+      let collect scan =
+        let got = ref [] in
+        ignore (scan (fun k _ -> got := k :: !got));
+        List.rev !got
+      in
+      List.for_all
+        (fun k -> Tree.get t k = if List.mem k live then Some k else None)
+        (keys @ dead @ [ start ])
+      && collect (Tree.scan t ~limit:max_int) = live
+      && collect (Tree.scan_rev t ~limit:max_int) = List.rev live
+      && collect (Tree.scan t ~start ~limit:max_int)
+         = List.filter (fun k -> String.compare k start >= 0) live
+      && collect (Tree.scan_rev t ~start ~limit:max_int)
+         = List.rev (List.filter (fun k -> String.compare k start <= 0) live)
+      && Result.is_ok (Tree.check t))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~long:false prop_decimal;
@@ -252,4 +302,5 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false prop_pipelined_group_get;
     QCheck_alcotest.to_alcotest ~long:false prop_scan_mirror;
     QCheck_alcotest.to_alcotest ~long:false prop_cursor_edges;
+    QCheck_alcotest.to_alcotest ~long:false prop_length_ties;
   ]

@@ -54,6 +54,39 @@ let test_histogram_shards () =
   check_int "max" 80 s.Obs.Snapshot.maximum;
   check_bool "p50 in range" true (s.Obs.Snapshot.p50 >= 10 && s.Obs.Snapshot.p50 <= 80)
 
+(* Shards allocate their buckets on the first sample: one domain
+   observing a 16-shard histogram costs one bucket array, and the merged
+   snapshot matches a single histogram fed the same samples. *)
+let test_histogram_lazy_shards () =
+  let reg = Obs.Registry.create ~shards:16 () in
+  let h = Obs.Registry.histogram reg "lazy" in
+  check_int "nothing allocated before a sample" 0 (Obs.Registry.allocated_shards h);
+  let empty = List.assoc "lazy" (Obs.Registry.snapshot reg).Obs.Snapshot.hists in
+  check_int "empty count" 0 empty.Obs.Snapshot.count;
+  check_int "empty p99" 0 empty.Obs.Snapshot.p99;
+  let single = Xutil.Histogram.create () in
+  let rng = Xutil.Rng.create 7L in
+  for _ = 1 to 5_000 do
+    let v = Xutil.Rng.int rng 100_000 in
+    Obs.Registry.observe h v;
+    Xutil.Histogram.add single v
+  done;
+  check_int "one shard allocated" 1 (Obs.Registry.allocated_shards h);
+  let got = List.assoc "lazy" (Obs.Registry.snapshot reg).Obs.Snapshot.hists in
+  let want = Obs.Snapshot.summarize single in
+  check_int "count" want.Obs.Snapshot.count got.Obs.Snapshot.count;
+  check_int "sum" want.Obs.Snapshot.sum got.Obs.Snapshot.sum;
+  check_int "min" want.Obs.Snapshot.minimum got.Obs.Snapshot.minimum;
+  check_int "max" want.Obs.Snapshot.maximum got.Obs.Snapshot.maximum;
+  check_int "p50" want.Obs.Snapshot.p50 got.Obs.Snapshot.p50;
+  check_int "p90" want.Obs.Snapshot.p90 got.Obs.Snapshot.p90;
+  check_int "p99" want.Obs.Snapshot.p99 got.Obs.Snapshot.p99;
+  check_int "p999" want.Obs.Snapshot.p999 got.Obs.Snapshot.p999;
+  Obs.Registry.reset reg;
+  let cleared = List.assoc "lazy" (Obs.Registry.snapshot reg).Obs.Snapshot.hists in
+  check_int "reset empties" 0 cleared.Obs.Snapshot.count;
+  check_int "reset keeps one array" 1 (Obs.Registry.allocated_shards h)
+
 let test_gauge_replace () =
   let reg = Obs.Registry.create () in
   Obs.Registry.gauge reg "g" (fun () -> 1);
@@ -144,9 +177,7 @@ let test_stats_over_loopback () =
   let g = Obs.Registry.global in
   Obs.Registry.reset g;
   Obs.Registry.set_enabled g true;
-  let dir = Filename.temp_file "obsrv" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Xutil.Tmpdir.scoped "obsrv" in
   let logs =
     [| Persist.Logger.create ~synchronous:true (Filename.concat dir "log0") |]
   in
@@ -203,6 +234,8 @@ let suite =
     Alcotest.test_case "counter identity + disable" `Quick
       test_counter_identity_and_disable;
     Alcotest.test_case "histogram shards merge" `Quick test_histogram_shards;
+    Alcotest.test_case "histogram shards allocate lazily" `Quick
+      test_histogram_lazy_shards;
     Alcotest.test_case "gauge replace + failure" `Quick test_gauge_replace;
     Alcotest.test_case "trace ring overwrite" `Quick test_trace_ring_overwrite;
     Alcotest.test_case "snapshot codec roundtrip" `Quick

@@ -4,11 +4,7 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let tmpdir () =
-  let d = Filename.temp_file "mtree" "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
+let tmpdir () = Xutil.Tmpdir.scoped "mtree"
 
 let mkrec ?(ts = 100L) ?(ver = 1L) ?(cols = [| "a"; "b" |]) key =
   Persist.Logrec.Put { key; version = ver; timestamp = ts; columns = cols }

@@ -30,6 +30,61 @@ let test_cell_roundtrip () =
   check_int "alloc accounting" 2 s.Pool.cells_allocated;
   check_int "free accounting" 1 s.Pool.cells_freed
 
+(* The packed border cell: word s holds slot s's slice-hi and suffix
+   handle, word 14+s its (lo, klen).  Every field at its extremes must
+   read back exactly, and a write of one slot, or of one slot's handle,
+   must leave every other field intact. *)
+let test_packed_cell_fields () =
+  let p = Pool.create () in
+  let b = Node.new_border ~pool:p ~isroot:true ~locked:false ~lowhi:0 ~lowlo:0 in
+  let m32 = (1 lsl 32) - 1 in
+  let edges32 = [ 0; 1; 0x8000_0000; m32 ] in
+  let klens = List.init 10 Fun.id in
+  let handles = [ 0; 16; Pool.max_handle; -1; -Pool.max_handle ] in
+  let expect = Array.init Node.width (fun s -> (s * 977, s * 131, s mod 10, s * 32)) in
+  let check_slot s =
+    let hi, lo, kl, h = expect.(s) in
+    check_int "hi" hi (Node.slice_hi b s);
+    check_int "lo" lo (Node.slice_lo b s);
+    check_int "klen" kl (Node.keylen b s);
+    check_int "handle" h (Node.suffix_handle b s)
+  in
+  let check_all () = for s = 0 to Node.width - 1 do check_slot s done in
+  Array.iteri
+    (fun s (hi, lo, klen, h) -> Node.set_entry b s ~hi ~lo ~klen ~h)
+    expect;
+  check_all ();
+  for s = 0 to Node.width - 1 do
+    List.iter
+      (fun hi ->
+        List.iter
+          (fun lo ->
+            List.iter
+              (fun klen ->
+                List.iter
+                  (fun h ->
+                    Node.set_entry b s ~hi ~lo ~klen ~h;
+                    expect.(s) <- (hi, lo, klen, h);
+                    check_slot s)
+                  handles)
+              klens)
+          edges32)
+      edges32;
+    (* The handle-only writer, over slots whose other fields sit at
+       their extremes. *)
+    List.iter
+      (fun (hi, lo, klen) ->
+        Node.set_entry b s ~hi ~lo ~klen ~h:0;
+        List.iter
+          (fun h ->
+            Node.set_suffix_handle b s h;
+            expect.(s) <- (hi, lo, klen, h);
+            check_slot s)
+          handles)
+      [ (m32, m32, 9); (0, m32, 0); (m32, 0, 8) ];
+    check_all ()
+  done
+
 let test_blob_roundtrip () =
   let p = Pool.create () in
   (* One blob per size class, from tiny to past the largest class so the
@@ -146,6 +201,7 @@ let test_leak_oracle () =
 let suite =
   [
     Alcotest.test_case "cell roundtrip" `Quick test_cell_roundtrip;
+    Alcotest.test_case "packed cell fields" `Quick test_packed_cell_fields;
     Alcotest.test_case "blob roundtrip all classes" `Quick test_blob_roundtrip;
     Alcotest.test_case "blob suffix path" `Quick test_blob_suffix_path;
     Alcotest.test_case "size-class reuse" `Quick test_size_class_reuse;

@@ -29,11 +29,7 @@ let print_ops ops =
          | Ckpt -> "CKPT")
        ops)
 
-let tmpdir () =
-  let d = Filename.temp_file "recprop" "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
+let tmpdir () = Xutil.Tmpdir.scoped "recprop"
 
 let counter = ref 0
 
