@@ -63,12 +63,11 @@ let run scale =
     (mops base) (mops during)
     (during /. base *. 100.0);
 
-  (* MVCC foreground interference: put latency with a checkpoint running,
-     legacy racing-scan checkpoints vs snapshot checkpoints (the
-     tentpole's non-blocking claim, docs/MVCC.md).  The snapshot walk
-     pins the version horizon, so concurrent puts pay the chain-install
-     path instead of racing the dump — the readout is the put p99 and
-     the retained-version bound after the horizon clears. *)
+  (* MVCC foreground interference: put latency idle vs with snapshot
+     checkpoints running (the non-blocking claim, docs/MVCC.md).  The
+     snapshot walk pins the version horizon, so concurrent puts pay the
+     chain-install path instead of racing the dump — the readout is the
+     put p99 and the retained-version bound after the horizon clears. *)
   subheader "mvcc: put latency under a concurrent checkpoint";
   let measure_put_lat () =
     let per_domain = max 1 (scale.ops / 2 / scale.domains) in
@@ -105,7 +104,7 @@ let run scale =
     (float_of_int total /. dt, Xutil.Histogram.percentile lat 50.0,
      Xutil.Histogram.percentile lat 99.0)
   in
-  let with_bg_ckpt ~snapshot f =
+  let with_bg_ckpt f =
     let running = Atomic.make true in
     let th =
       Thread.create
@@ -114,10 +113,8 @@ let run scale =
           while Atomic.get running do
             incr i;
             match
-              Kvstore.Store.checkpoint store ~snapshot
-                ~dir:
-                  (Filename.concat dir
-                     (Printf.sprintf "ckpt-mv-%b-%d" snapshot !i))
+              Kvstore.Store.checkpoint store
+                ~dir:(Filename.concat dir (Printf.sprintf "ckpt-mv-%d" !i))
                 ~writers:2
             with
             | Ok _ -> ()
@@ -131,20 +128,13 @@ let run scale =
     r
   in
   let idle_rate, idle_p50, idle_p99 = measure_put_lat () in
-  let legacy_rate, legacy_p50, legacy_p99 =
-    with_bg_ckpt ~snapshot:false measure_put_lat
-  in
-  let snap_rate, snap_p50, snap_p99 =
-    with_bg_ckpt ~snapshot:true measure_put_lat
-  in
+  let snap_rate, snap_p50, snap_p99 = with_bg_ckpt measure_put_lat in
   (* After the horizon clears, pruning must collapse every chain the
      snapshot checkpoints pinned. *)
   Kvstore.Store.prune store;
   let residual = Kvstore.Store.mvcc_versions_live store in
   row "puts idle:            %.2f Mops/s, p50 %d us, p99 %d us\n"
     (mops idle_rate) idle_p50 idle_p99;
-  row "puts + racing ckpt:   %.2f Mops/s, p50 %d us, p99 %d us\n"
-    (mops legacy_rate) legacy_p50 legacy_p99;
   row "puts + snapshot ckpt: %.2f Mops/s, p50 %d us, p99 %d us (%.0f%% of idle)\n"
     (mops snap_rate) snap_p50 snap_p99
     (snap_rate /. idle_rate *. 100.0);
@@ -156,14 +146,12 @@ let run scale =
     \  \"domains\": %d,\n\
     \  \"rows\": [\n\
     \    {\"mode\": \"idle\", \"ops_per_sec\": %.0f, \"p50_us\": %d, \"p99_us\": %d},\n\
-    \    {\"mode\": \"racing_ckpt\", \"ops_per_sec\": %.0f, \"p50_us\": %d, \"p99_us\": %d},\n\
     \    {\"mode\": \"snapshot_ckpt\", \"ops_per_sec\": %.0f, \"p50_us\": %d, \"p99_us\": %d}\n\
     \  ],\n\
     \  \"snapshot_ckpt_rate_vs_idle\": %.3f,\n\
     \  \"versions_live_after_prune\": %d\n\
      }\n"
-    nkeys scale.domains idle_rate idle_p50 idle_p99 legacy_rate legacy_p50
-    legacy_p99 snap_rate snap_p50 snap_p99
+    nkeys scale.domains idle_rate idle_p50 idle_p99 snap_rate snap_p50 snap_p99
     (snap_rate /. idle_rate) residual;
   close_out oc;
   row "wrote BENCH_mvcc.json\n";

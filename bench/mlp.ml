@@ -2,7 +2,7 @@
    docs/BATCHING.md).
 
    Two readouts, Fig-8 style:
-   - real 1-core throughput of [Tree.multi_get_pipelined] vs a
+   - real 1-core throughput of [Tree.multi_get] vs a
      sequential loop of [Tree.get] over identical key streams, across
      batch sizes {1,4,8,16,32} and key distributions (uniform, zipfian
      0.99, shared-prefix);
@@ -98,7 +98,7 @@ let run_pass t pop idx b pipelined =
     if pipelined then
       Array.iter
         (function Some _ -> incr sink | None -> ())
-        (Tree.multi_get_pipelined t batch)
+        (Tree.multi_get t batch)
     else
       for j = 0 to b - 1 do
         match Tree.get t batch.(j) with Some _ -> incr sink | None -> ()

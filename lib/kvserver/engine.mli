@@ -56,9 +56,9 @@ val execute : worker:int -> backend -> Protocol.request -> Protocol.response
 val execute_batch :
   worker:int -> backend -> Protocol.request list -> Protocol.response list
 (** Batches consisting solely of full-value Gets run through the
-    interleaved multi-get path (the §4.8 parallel-lookup optimization
+    pipelined multi-get path (the §4.8 parallel-lookup optimization
     applied to the network stack; on a sharded backend the router fans
-    the wave out per shard). *)
+    the batch out per shard). *)
 
 val handle_frame : worker:int -> backend -> string -> string
 (** [handle_frame ~worker backend body] decodes a request frame body,
@@ -75,7 +75,7 @@ val execute_frames :
     arrived in one readable event, decoded in place from the receive
     buffer ([(pos, len)] body spans into [buf]) and executed as one
     batch.  Consecutive frames consisting solely of full-value Gets are
-    merged into a single interleaved multi-get wave spanning the whole
+    merged into a single pipelined multi-get spanning the whole
     run — the §4.8 optimization applied across the pipeline window, not
     just within one message.  [emit] is called once per frame, in order;
     a malformed frame emits a single [Failed] response and the stream

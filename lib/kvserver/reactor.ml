@@ -6,7 +6,7 @@
    so the data path has no locks: frames are parsed in place from the
    connection's receive buffer, every complete frame available in one
    readable event executes as a single pipelined batch (get-only runs
-   share one interleaved multi_get wave), and all response frames are
+   share one pipelined multi_get), and all response frames are
    coalesced into one buffered write.  A connection whose pending output
    exceeds its budget stops being read until it drains — backpressure
    instead of unbounded buffering. *)

@@ -6,7 +6,7 @@
     round-robin, and each connection gets reusable {!Netbuf} read/write
     buffers.  Every complete frame available in one readable event is
     executed as a single pipelined batch — consecutive get-only frames
-    share one interleaved [multi_get] wave (§4.8) — and all the response
+    share one pipelined [multi_get] (§4.8) — and all the response
     frames are coalesced into one socket write.  Per-connection pending
     output is bounded: past the budget the reactor stops reading that
     connection until it drains (backpressure).

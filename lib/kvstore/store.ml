@@ -373,7 +373,7 @@ let multi_get t keys =
     (function
       | Some { scontent = Tomb; _ } | None -> None
       | Some { scontent; _ } -> Some (unpack scontent))
-    (Tree.multi_get_pipelined t.tree keys)
+    (Tree.multi_get t.tree keys)
 
 let get_columns t key cols =
   match Tree.get t.tree key with
@@ -828,65 +828,92 @@ let iter_entries t f =
 
 (* ---- checkpoint / recovery ---- *)
 
-let checkpoint ?vfs ?(snapshot = true) t ~dir ~writers =
+(* Resolved entries the checkpoint cursor holds at a time. *)
+let ckpt_chunk = 256
+
+let checkpoint ?vfs t ~dir ~writers =
   let began_us = Xutil.Clock.wall_us () in
-  let entries = ref [] in
-  if snapshot then begin
-    (* Walk a pinned snapshot: one consistent cut, no races with
-       foreground puts (they chain retired values instead of fighting
-       the scan), and only heads visible at the cut are emitted —
-       chains are never persisted ({!Persist.Checkpoint.entry} has no
-       chain field; recovery replays single versions). *)
-    let s = Snapshot.open_ t in
-    let at = Int64.to_int (Snapshot.version s) in
-    Fun.protect
-      ~finally:(fun () -> Snapshot.close s)
-      (fun () ->
-        ignore
-          (Tree.scan t.tree ~limit:max_int (fun k st ->
-               (* Resolve at the cut, keeping the resolved entry's own
-                  version — the recovery replay guard compares per-key
-                  versions against log records. *)
-               match resolve_at st ~at with
-               | Tomb -> ()
-               | c ->
-                   let version = Int64.of_int (resolved_version st ~at) in
-                   entries :=
-                     { Persist.Checkpoint.key = k; version; columns = unpack c } :: !entries)))
-  end
-  else
-    (* Legacy pull-based stream: the scan runs concurrently with normal
-       operation; each entry is some committed version of its key (the
-       pre-MVCC behavior, kept as the interference baseline for
-       [bench ckpt]). *)
-    ignore
-      (Tree.scan t.tree ~limit:max_int (fun k v ->
-           match v.scontent with
-           | Tomb -> ()
-           | c ->
-               entries :=
-                 {
-                   Persist.Checkpoint.key = k;
-                   version = Int64.of_int v.sversion;
-                   columns = unpack c;
-                 }
-                 :: !entries));
-  let remaining = ref !entries in
-  let lock = Xutil.Spinlock.create () in
-  let next () =
-    Xutil.Spinlock.with_lock lock (fun () ->
-        match !remaining with
-        | [] -> None
-        | e :: rest ->
-            remaining := rest;
-            Some e)
+  (* Walk a pinned snapshot: one consistent cut, no races with
+     foreground puts (they chain retired values instead of fighting
+     the scan), and only heads visible at the cut are emitted —
+     chains are never persisted ({!Persist.Checkpoint.entry} has no
+     chain field; recovery replays single versions).  The part writers
+     pull from a cursor that resolves [ckpt_chunk] entries per refill,
+     resuming its scan after the last key it emitted, so the dump holds
+     one chunk of unpacked values rather than the whole tree.  The
+     writers are systhreads: a [Mutex], not a spinlock, guards the
+     refill, since a refill holds the lock across a scan. *)
+  let s = Snapshot.open_ t in
+  let at = Int64.to_int (Snapshot.version s) in
+  let chunk = ref [] and last = ref None and exhausted = ref false in
+  let refill () =
+    let acc = ref [] and n = ref 0 in
+    let exception Full in
+    (try
+       ignore
+         (Tree.scan t.tree ?start:!last ~limit:max_int (fun k st ->
+              if not (match !last with Some l -> String.equal k l | None -> false) then
+                (* Resolve at the cut, keeping the resolved entry's own
+                   version — the recovery replay guard compares per-key
+                   versions against log records. *)
+                match resolve_at st ~at with
+                | Tomb -> ()
+                | c ->
+                    let version = Int64.of_int (resolved_version st ~at) in
+                    acc := { Persist.Checkpoint.key = k; version; columns = unpack c } :: !acc;
+                    incr n;
+                    if !n >= ckpt_chunk then raise Full));
+       (* Every entry of the cut is resolved: release the snapshot now
+          rather than after the parts are written and synced, so
+          foreground puts stop chaining versions as soon as the scan
+          ends. *)
+       exhausted := true;
+       Snapshot.close s
+     with Full -> ());
+    (match !acc with e :: _ -> last := Some e.Persist.Checkpoint.key | [] -> ());
+    chunk := List.rev !acc
   in
-  Persist.Checkpoint.write ?vfs ~dir ~writers ~began_us next
+  let rec pull () =
+    match !chunk with
+    | e :: rest ->
+        chunk := rest;
+        Some e
+    | [] when !exhausted -> None
+    | [] ->
+        refill ();
+        pull ()
+  in
+  let lock = Mutex.create () in
+  Fun.protect
+    ~finally:(fun () -> Snapshot.close s)
+    (fun () ->
+      Persist.Checkpoint.write ?vfs ~dir ~writers ~began_us (fun () ->
+          Mutex.protect lock pull))
 
 (* Crash windows of the reclaim below: each superseded file about to be
    unlinked. *)
 let fp_reclaim_unlink = Faultsim.Failpoint.define "ckpt.reclaim.unlink"
 let fp_reclaim_rm_ckpt = Faultsim.Failpoint.define "ckpt.reclaim.rm_ckpt"
+
+let reclaim_dir ?(vfs = Faultsim.Vfs.real) ~keep dir =
+  let remove p = try vfs.Faultsim.Vfs.remove p with Sys_error _ | Unix.Unix_error _ -> () in
+  let files = vfs.Faultsim.Vfs.readdir dir in
+  Array.sort String.compare files;
+  Array.iter
+    (fun f ->
+      let p = Filename.concat dir f in
+      if List.exists (String.equal p) keep then ()
+      else if String.starts_with ~prefix:"log-" f then begin
+        Faultsim.Failpoint.hit fp_reclaim_unlink;
+        remove p
+      end
+      else if String.starts_with ~prefix:"ckpt-" f then begin
+        Faultsim.Failpoint.hit fp_reclaim_rm_ckpt;
+        let parts = try vfs.Faultsim.Vfs.readdir p with Sys_error _ | Unix.Unix_error _ -> [||] in
+        Array.iter (fun x -> remove (Filename.concat p x)) parts;
+        remove p
+      end)
+    files
 
 (* §5's order.  A put installs its value before it appends its log
    record, so once every logger has rotated, each record in a superseded
@@ -910,27 +937,7 @@ let checkpoint_reclaim ?(vfs = Faultsim.Vfs.real) t ~dir ~writers =
   | Error e -> Error e
   | Ok manifest ->
       Array.iter Persist.Logger.mark t.logs;
-      let current = Array.map Persist.Logger.path t.logs in
-      let remove p =
-        try vfs.Faultsim.Vfs.remove p with Sys_error _ | Unix.Unix_error _ -> ()
-      in
-      let files = vfs.Faultsim.Vfs.readdir dir in
-      Array.sort String.compare files;
-      Array.iter
-        (fun f ->
-          let p = Filename.concat dir f in
-          if String.starts_with ~prefix:"log-" f
-             && not (Array.exists (String.equal p) current)
-          then begin
-            Faultsim.Failpoint.hit fp_reclaim_unlink;
-            remove p
-          end
-          else if String.starts_with ~prefix:"ckpt-" f && not (String.equal p ckpt) then begin
-            Faultsim.Failpoint.hit fp_reclaim_rm_ckpt;
-            Array.iter (fun x -> remove (Filename.concat p x)) (vfs.Faultsim.Vfs.readdir p);
-            remove p
-          end)
-        files;
+      reclaim_dir ~vfs ~keep:(ckpt :: Array.to_list (Array.map Persist.Logger.path t.logs)) dir;
       Ok manifest
 
 let sweep_tombstones t =

@@ -58,7 +58,7 @@ val project : string array -> int list -> string array
 
 val multi_get : t -> string array -> string array option array
 (** Batched full-value gets over the software-pipelined group-get path
-    ({!Masstree_core.Tree.multi_get_pipelined}, docs/BATCHING.md): the
+    ({!Masstree_core.Tree.multi_get}, docs/BATCHING.md): the
     whole batch's tree descents interleave one node per round with
     cross-lookup prefetch (§4.8).  The network engine calls this for
     merged runs of full-value get frames, and the shard router for each
@@ -191,17 +191,25 @@ val register_obs : t -> unit
 (** {1 Persistence (§5)} *)
 
 val checkpoint :
-  ?vfs:Faultsim.Vfs.t -> ?snapshot:bool -> t -> dir:string -> writers:int ->
-  (string, string) result
-(** Dump the store and return the manifest path.  By default the dump
-    walks a pinned {!Snapshot} — one consistent cut, no interference
-    with foreground puts; [~snapshot:false] keeps the pre-MVCC
-    racing-scan behavior (each key some committed version — the
-    [bench ckpt] interference baseline).  Only resolved heads are
-    written: chains never reach disk ({!Persist.Checkpoint.entry} has no
-    chain field).  [vfs] (default: the real filesystem) is how the
-    crash-torture harness redirects checkpoint I/O onto a simulated
-    disk. *)
+  ?vfs:Faultsim.Vfs.t -> t -> dir:string -> writers:int -> (string, string) result
+(** Dump the store and return the manifest path.  The dump walks a
+    pinned {!Snapshot} — one consistent cut, no interference with
+    foreground puts — and streams it to the part writers a chunk of
+    resolved entries at a time, so its memory is bounded by the chunk,
+    not the store.  Only resolved heads are written: chains never reach
+    disk ({!Persist.Checkpoint.entry} has no chain field).  [vfs]
+    (default: the real filesystem) is how the crash-torture harness
+    redirects checkpoint I/O onto a simulated disk. *)
+
+val reclaim_dir : ?vfs:Faultsim.Vfs.t -> keep:string list -> string -> unit
+(** [reclaim_dir ~keep dir] deletes, in name order, every [log-*] file
+    and (flat) [ckpt-*] directory directly inside [dir] whose path
+    [Filename.concat dir name] is not in [keep], ignoring files that
+    vanish meanwhile.  The one deletion loop for superseded persistent
+    state: {!checkpoint_reclaim} keeps the fresh logs and the new
+    checkpoint, boot-time resharding keeps this incarnation's logs.
+    Failpoints [ckpt.reclaim.unlink] / [ckpt.reclaim.rm_ckpt] fire
+    before each deletion. *)
 
 val checkpoint_reclaim :
   ?vfs:Faultsim.Vfs.t -> t -> dir:string -> writers:int -> (string, string) result

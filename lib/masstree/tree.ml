@@ -18,7 +18,6 @@ let sp_restart_spin = Schedpoint.define "tree.restart.spin"
 let sp_get_read = Schedpoint.define "tree.get.read"
 let sp_get_advance = Schedpoint.define "tree.get.advance"
 let sp_snapshot_read = Schedpoint.define "tree.snapshot.read"
-let sp_multiget_wave = Schedpoint.define "tree.multiget.wave"
 
 (* Pipelined group-get (docs/BATCHING.md): one point per pipeline round,
    one at each in-pipeline trie-layer descent, and one at each
@@ -150,7 +149,38 @@ let rec child_scan i nk j ~hi ~lo =
 
 let child_index i ~hi ~lo = child_scan i (Int.min i.inkeys width) 0 ~hi ~lo
 
-(* Climb only — never write the climb result back into the hint.  The
+(* Hand-over-hand validation at [n] failed (its version moved from [v]).
+   If [n] split or was deleted, responsibility for the key may have moved
+   to a sibling only the layer root still reaches: count a root retry and
+   return -1.  Otherwise count a local retry and return the fresh stable
+   version to re-descend from [n] under.  Versions occupy bits 0..53, so
+   -1 is never one; the immediate result keeps every caller allocation-
+   free. *)
+let revalidate t n v =
+  let v' = Version.stable (version_of n) in
+  if Version.vsplit v' <> Version.vsplit v || Version.deleted v' then begin
+    Stats.incr t.tstats Stats.Root_retries;
+    -1
+  end
+  else begin
+    Stats.incr t.tstats Stats.Local_retries;
+    v'
+  end
+
+(* A reader's border [b] may have split while it looked: responsibility
+   for (hi, lo) only ever moves right, so return the right sibling whose
+   lowkey covers it, or [b] itself when none does.  One hop per call. *)
+let chase_right b ~hi ~lo =
+  match b.bnext with
+  | Some nx when Key.compare_parts hi lo nx.blowhi nx.blowlo >= 0 ->
+      Schedpoint.hit sp_get_advance;
+      nx
+  | _ -> b
+
+(* The one descent (Figure 6): every point operation, scans and layer
+   collapse reach their border through it.
+
+   Climb only — never write the climb result back into the hint.  The
    hint is refreshed by the thread that grows the root (ascend) or
    swaps a layer root (collapse), under the relevant locks; a reader
    writing here races with them and can clobber a fresh root with
@@ -181,53 +211,10 @@ and fb_descend t root_ref ~hi ~lo n v =
           else fb_revalidate t root_ref ~hi ~lo n v)
 
 and fb_revalidate t root_ref ~hi ~lo n v =
-  (* Hand-over-hand validation failed: if this node split, responsibility
-     for the key may have moved to a sibling only reachable from the
-     root. *)
-  let v' = Version.stable (version_of n) in
-  if Version.vsplit v' <> Version.vsplit v || Version.deleted v' then begin
-    Stats.incr t.tstats Stats.Root_retries;
-    fb_from_root t root_ref ~hi ~lo
-  end
-  else begin
-    Stats.incr t.tstats Stats.Local_retries;
-    fb_descend t root_ref ~hi ~lo n v'
-  end
+  let v' = revalidate t n v in
+  if v' < 0 then fb_from_root t root_ref ~hi ~lo else fb_descend t root_ref ~hi ~lo n v'
 
 let find_border t root_ref ~hi ~lo = fb_from_root t root_ref ~hi ~lo
-
-(* Writer-side descent: identical walk, but the caller locks the border
-   and never looks at the version again, so returning just the node saves
-   the result pair on every put/remove. *)
-let rec fw_from_root t root_ref ~hi ~lo =
-  let n0 = stable_climb root_ref !root_ref 16 in
-  let v0 = Version.stable (version_of n0) in
-  if Version.is_root v0 then fw_descend t root_ref ~hi ~lo n0 v0
-  else fw_from_root t root_ref ~hi ~lo
-
-and fw_descend t root_ref ~hi ~lo n v =
-  match n with
-  | Border b -> b
-  | Interior i -> (
-      match i.ichild.(child_index i ~hi ~lo) with
-      | None -> fw_revalidate t root_ref ~hi ~lo n v
-      | Some n' ->
-          let v' = Version.stable (version_of n') in
-          Schedpoint.hit sp_descend_validate;
-          if not (Version.changed v (Atomic.get (version_of n))) then
-            fw_descend t root_ref ~hi ~lo n' v'
-          else fw_revalidate t root_ref ~hi ~lo n v)
-
-and fw_revalidate t root_ref ~hi ~lo n v =
-  let v' = Version.stable (version_of n) in
-  if Version.vsplit v' <> Version.vsplit v || Version.deleted v' then begin
-    Stats.incr t.tstats Stats.Root_retries;
-    fw_from_root t root_ref ~hi ~lo
-  end
-  else begin
-    Stats.incr t.tstats Stats.Local_retries;
-    fw_descend t root_ref ~hi ~lo n v'
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Border-node search                                                  *)
@@ -274,44 +261,16 @@ let insertion_pos b perm ~hi ~lo ~klen =
 (* ------------------------------------------------------------------ *)
 
 (* The whole lookup is a chain of fully-applied top-level calls: no
-   closures, no option/pair intermediates, only the final [Some v]. *)
+   closures, no option intermediates, only the descent's (border,
+   version) pair and the final [Some v]. *)
 let rec get_layer t root_ref key off =
   let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
   let rem = String.length key - off in
   let klen = Int.min rem suffix_len_marker in
-  get_retry t root_ref key off hi lo rem klen
+  let b, v = find_border t root_ref ~hi ~lo in
+  get_forward t key off hi lo rem klen b v
 
-and get_retry t root_ref key off hi lo rem klen =
-  let n0 = stable_climb root_ref !root_ref 16 in
-  let v0 = Version.stable (version_of n0) in
-  if Version.is_root v0 then get_descend t root_ref key off hi lo rem klen n0 v0
-  else get_retry t root_ref key off hi lo rem klen
-
-and get_descend t root_ref key off hi lo rem klen n v =
-  match n with
-  | Border b -> get_forward t root_ref key off hi lo rem klen b v
-  | Interior i -> (
-      match i.ichild.(child_index i ~hi ~lo) with
-      | None -> get_revalidate t root_ref key off hi lo rem klen n v
-      | Some n' ->
-          let v' = Version.stable (version_of n') in
-          Schedpoint.hit sp_descend_validate;
-          if not (Version.changed v (Atomic.get (version_of n))) then
-            get_descend t root_ref key off hi lo rem klen n' v'
-          else get_revalidate t root_ref key off hi lo rem klen n v)
-
-and get_revalidate t root_ref key off hi lo rem klen n v =
-  let v' = Version.stable (version_of n) in
-  if Version.vsplit v' <> Version.vsplit v || Version.deleted v' then begin
-    Stats.incr t.tstats Stats.Root_retries;
-    get_retry t root_ref key off hi lo rem klen
-  end
-  else begin
-    Stats.incr t.tstats Stats.Local_retries;
-    get_descend t root_ref key off hi lo rem klen n v'
-  end
-
-and get_forward t root_ref key off hi lo rem klen b v =
+and get_forward t key off hi lo rem klen b v =
   if Version.deleted v then raise Restart;
   let hit = search_hit b (border_perm b) ~hi ~lo ~klen in
   (* Extract the slot's contents while the version snapshot is live.  The
@@ -330,7 +289,7 @@ and get_forward t root_ref key off hi lo rem klen b v =
   (* Validate the snapshot before trusting the extraction. *)
   if Version.changed v (Atomic.get b.bversion) then begin
     Stats.incr t.tstats Stats.Local_retries;
-    get_walk t root_ref key off hi lo rem klen b (Version.stable b.bversion)
+    get_walk t key off hi lo rem klen b (Version.stable b.bversion)
   end
   else
     match lv with
@@ -338,15 +297,11 @@ and get_forward t root_ref key off hi lo rem klen b v =
     | Value value -> if suffix_ok then Some value else None
     | Layer r -> if rem > 8 then get_layer t r key (off + 8) else None
 
-and get_walk t root_ref key off hi lo rem klen b v =
-  (* The border may have split while we looked: responsibility for the
-     key can only have moved right, so chase next-pointers by lowkey. *)
+and get_walk t key off hi lo rem klen b v =
   if Version.deleted v then raise Restart;
-  match b.bnext with
-  | Some nx when Key.compare_parts hi lo nx.blowhi nx.blowlo >= 0 ->
-      Schedpoint.hit sp_get_advance;
-      get_walk t root_ref key off hi lo rem klen nx (Version.stable nx.bversion)
-  | _ -> get_forward t root_ref key off hi lo rem klen b v
+  let nx = chase_right b ~hi ~lo in
+  if nx != b then get_walk t key off hi lo rem klen nx (Version.stable nx.bversion)
+  else get_forward t key off hi lo rem klen b v
 
 let rec get_attempt t key =
   try get_layer t t.root key 0
@@ -370,124 +325,14 @@ let get t key =
 
 let mem t key = Option.is_some (get t key)
 
-(* Batched lookup with interleaved descent (§4.8).  Each in-flight lookup
-   carries its current node and validation snapshot; one wave advances
-   every lookup by one level.  Anything that needs a retry — version
-   mismatch, split chase, trie-layer descent — is finished with the plain
-   get path rather than complicating the wave machinery. *)
-type 'v flight = {
-  fkey : Key.t;
-  fhi : int;
-  flo : int;
-  mutable fnode : 'v node;
-  mutable fver : Version.t;
-  mutable fdone : bool;
-  mutable fresult : [ `Pending | `Fallback | `Value of 'v | `Notfound ];
-  findex : int;
-}
-
-let multi_get t keys =
-  (* Count one get per key, matching the plain path, so obs throughput
-     agrees between batched and unbatched front ends. *)
-  Stats.add t.tstats Stats.Gets (Array.length keys);
-  pinned t (fun () ->
-      let flights =
-        Array.mapi
-          (fun i key ->
-            let fhi = Key.slice_hi key ~off:0 and flo = Key.slice_lo key ~off:0 in
-            match try Some (stable_root t.root) with Restart -> None with
-            | Some (n, v) ->
-                { fkey = key; fhi; flo; fnode = n; fver = v; fdone = false;
-                  fresult = `Pending; findex = i }
-            | None ->
-                (* Root hint in flux: fall back to the plain get.  The
-                   node field is unused once fdone is set. *)
-                { fkey = key; fhi; flo; fnode = !(t.root); fver = 0;
-                  fdone = true; fresult = `Fallback; findex = i })
-          keys
-      in
-      let remaining = ref (Array.length flights) in
-      let finish f r =
-        if not f.fdone then begin
-          f.fdone <- true;
-          f.fresult <- r;
-          decr remaining
-        end
-      in
-      (* Wave loop: every pass advances each live flight one level.  On
-         real prefetching hardware, issuing all of a wave's node fetches
-         back-to-back is what overlaps their DRAM latencies. *)
-      let fuel = ref 64 in
-      while !remaining > 0 && !fuel > 0 do
-        decr fuel;
-        Schedpoint.hit sp_multiget_wave;
-        Array.iter
-          (fun f ->
-            if not f.fdone then begin
-              match f.fnode with
-              | Interior i -> (
-                  match i.ichild.(child_index i ~hi:f.fhi ~lo:f.flo) with
-                  | None -> finish f `Fallback
-                  | Some n' ->
-                      let v' = Version.stable (version_of n') in
-                      if not (Version.changed f.fver (Atomic.get (version_of f.fnode)))
-                      then begin
-                        f.fnode <- n';
-                        f.fver <- v'
-                      end
-                      else finish f `Fallback)
-              | Border b ->
-                  if Version.deleted f.fver then finish f `Fallback
-                  else begin
-                    let rem = String.length f.fkey in
-                    let klen = Int.min rem suffix_len_marker in
-                    let outcome =
-                      match search_hit b (border_perm b) ~hi:f.fhi ~lo:f.flo ~klen with
-                      | -1 -> `Notfound
-                      | hit -> (
-                          match b.blv.(hit land 0xF) with
-                          | Value value ->
-                              if rem <= 8 then `Found value
-                              else if suffix_matches b (hit land 0xF) f.fkey ~pos:8
-                              then `Found value
-                              else `Notfound
-                          | Layer _ -> `Layer
-                          | Empty -> `Notfound)
-                    in
-                    if Version.changed f.fver (Atomic.get b.bversion) then
-                      finish f `Fallback
-                    else begin
-                      match outcome with
-                      | `Found v -> finish f (`Value v)
-                      | `Notfound -> (
-                          (* The key may belong to a right sibling. *)
-                          match b.bnext with
-                          | Some nx
-                            when Key.compare_parts f.fhi f.flo nx.blowhi nx.blowlo >= 0 ->
-                              finish f `Fallback
-                          | _ -> finish f `Notfound)
-                      | `Layer -> finish f `Fallback
-                    end
-                  end
-            end)
-          flights
-      done;
-      let fallback key = get_attempt t key in
-      Array.map
-        (fun f ->
-          match f.fresult with
-          | `Value v -> Some v
-          | `Notfound -> None
-          | `Pending | `Fallback -> fallback f.fkey)
-        flights)
-
 (* ------------------------------------------------------------------ *)
 (* Software-pipelined group get (§4.8, docs/BATCHING.md)               *)
 (* ------------------------------------------------------------------ *)
 
-(* Where [multi_get]'s waves eject a lookup to the sequential path on any
-   turbulence, this state machine keeps every lookup inside the pipeline
-   across layer hops, split chases and from-the-root restarts.  Each live
+(* The batched form of the descent and border read above.  This state
+   machine keeps every lookup inside the pipeline across layer hops,
+   split chases and from-the-root restarts, using the same [revalidate]
+   and [chase_right] steps as the sequential path.  Each live
    lookup advances exactly one node per round: its next node is computed
    and *staged* one full round before it is read for real, so the cache
    misses of up to N staged nodes land in adjacent, independent step
@@ -546,7 +391,18 @@ let prefetch_suffix b slot =
   let h = suffix_handle b slot in
   if h <> 0 then ignore (Sys.opaque_identity (Pool.blob_len b.bpool h))
 
-let multi_get_pipelined t keys =
+(* Point [f] at the root of the trie layer that starts at byte [off] of
+   its key. *)
+let enter_layer f ~off root =
+  f.qoff <- off;
+  f.qhi <- Key.slice_hi f.qkey ~off;
+  f.qlo <- Key.slice_lo f.qkey ~off;
+  f.qrem <- String.length f.qkey - off;
+  f.qklen <- Int.min f.qrem suffix_len_marker;
+  f.qroot <- root;
+  f.qstage <- P_root
+
+let multi_get t keys =
   (* Count one get per key, matching the plain path, so obs throughput
      agrees between batched and unbatched front ends. *)
   Stats.add t.tstats Stats.Gets (Array.length keys);
@@ -554,24 +410,14 @@ let multi_get_pipelined t keys =
       let flights =
         Array.map
           (fun key ->
-            let rem = String.length key in
-            {
-              qkey = key;
-              qoff = 0;
-              qhi = Key.slice_hi key ~off:0;
-              qlo = Key.slice_lo key ~off:0;
-              qrem = rem;
-              qklen = Int.min rem suffix_len_marker;
-              qroot = t.root;
-              qnode = !(t.root);
-              qver = 0;
-              qstage = P_root;
-              qhit = -1;
-              qlv = Empty;
-              qfuel = 16;
-              qdone = false;
-              qresult = `Pending;
-            })
+            let f =
+              { qkey = key; qoff = 0; qhi = 0; qlo = 0; qrem = 0; qklen = 0;
+                qroot = t.root; qnode = !(t.root); qver = 0; qstage = P_root;
+                qhit = -1; qlv = Empty; qfuel = 16; qdone = false;
+                qresult = `Pending }
+            in
+            enter_layer f ~off:0 t.root;
+            f)
           keys
       in
       let remaining = ref (Array.length flights) in
@@ -582,35 +428,33 @@ let multi_get_pipelined t keys =
           decr remaining
         end
       in
-      (* Re-enter from the layer-0 root: the pipelined equivalent of
-         raising [Restart] into [get_attempt].  Bounded by per-flight
+      (* Re-enter the pipeline at a layer root.  Bounded by per-flight
          fuel, after which the flight is handed to the sequential path
          (whose [tree.restart.spin] loop guarantees progress). *)
+      let restart f ~off root =
+        Stats.incr t.tstats Stats.Pipeline_restarts;
+        Schedpoint.hit sp_pipeline_restart;
+        f.qfuel <- f.qfuel - 1;
+        if f.qfuel <= 0 then finish f `Fallback else enter_layer f ~off root
+      in
+      (* From the layer-0 root: the pipelined equivalent of raising
+         [Restart] into [get_attempt]. *)
       let restart0 f =
         Stats.incr t.tstats Stats.Root_retries;
-        Stats.incr t.tstats Stats.Pipeline_restarts;
-        Schedpoint.hit sp_pipeline_restart;
-        f.qfuel <- f.qfuel - 1;
-        if f.qfuel <= 0 then finish f `Fallback
-        else begin
-          f.qoff <- 0;
-          f.qhi <- Key.slice_hi f.qkey ~off:0;
-          f.qlo <- Key.slice_lo f.qkey ~off:0;
-          f.qrem <- String.length f.qkey;
-          f.qklen <- Int.min f.qrem suffix_len_marker;
-          f.qroot <- t.root;
-          f.qstage <- P_root
-        end
+        restart f ~off:0 t.root
       in
-      (* Re-enter from the current layer's root: a split moved
-         responsibility somewhere only the root still reaches
-         (get_revalidate's root-retry, in-pipeline). *)
-      let restart_layer f =
-        Stats.incr t.tstats Stats.Root_retries;
-        Stats.incr t.tstats Stats.Pipeline_restarts;
-        Schedpoint.hit sp_pipeline_restart;
-        f.qfuel <- f.qfuel - 1;
-        if f.qfuel <= 0 then finish f `Fallback else f.qstage <- P_root
+      (* Hand-over-hand validation at [f.qnode] failed: re-enter from the
+         current layer's root when [revalidate] says a split moved
+         responsibility somewhere only the root still reaches (it has
+         counted the root retry), else re-stage from the same node under
+         its fresh version. *)
+      let revalidate_flight f =
+        let v' = revalidate t f.qnode f.qver in
+        if v' < 0 then restart f ~off:f.qoff f.qroot
+        else begin
+          f.qver <- v';
+          f.qstage <- P_advance
+        end
       in
       (* From a just-validated position, compute and stage the next node;
          it is read for real one round later, so its cache misses overlap
@@ -622,26 +466,18 @@ let multi_get_pipelined t keys =
             match i.ichild.(child_index i ~hi:f.qhi ~lo:f.qlo) with
             | None ->
                 (* Torn read during a concurrent shape change. *)
-                let v' = Version.stable (version_of f.qnode) in
-                if Version.vsplit v' <> Version.vsplit f.qver || Version.deleted v'
-                then restart_layer f
-                else begin
-                  Stats.incr t.tstats Stats.Local_retries;
-                  f.qver <- v';
-                  f.qstage <- P_advance
-                end
+                revalidate_flight f
             | Some n' -> f.qstage <- P_child n')
       in
+      (* One [chase_right] hop per round (get_walk in-pipeline), else
+         [k]. *)
       let chase_or f b k =
-        (* The border may have split under us: responsibility only moves
-           right, so chase next-pointers by lowkey (get_walk in-pipeline),
-           else [k]. *)
-        match b.bnext with
-        | Some nx when Key.compare_parts f.qhi f.qlo nx.blowhi nx.blowlo >= 0 ->
-            Schedpoint.hit sp_get_advance;
-            f.qnode <- Border nx;
-            f.qstage <- P_border nx
-        | _ -> k ()
+        let nx = chase_right b ~hi:f.qhi ~lo:f.qlo in
+        if nx != b then begin
+          f.qnode <- Border nx;
+          f.qstage <- P_border nx
+        end
+        else k ()
       in
       (* Common tail of a border read: validate the version snapshot the
          extraction happened under (the §4.5 reader window, same shape as
@@ -667,19 +503,12 @@ let multi_get_pipelined t keys =
           | Layer r when f.qrem > 8 ->
               (* Descend one trie layer without leaving the pipeline. *)
               Schedpoint.hit sp_pipeline_layer;
-              f.qoff <- f.qoff + 8;
-              f.qhi <- Key.slice_hi f.qkey ~off:f.qoff;
-              f.qlo <- Key.slice_lo f.qkey ~off:f.qoff;
-              f.qrem <- f.qrem - 8;
-              f.qklen <- Int.min f.qrem suffix_len_marker;
-              f.qroot <- r;
-              f.qstage <- P_root
+              enter_layer f ~off:(f.qoff + 8) r
           | Layer _ -> finish f `Notfound
           | Value _ | Empty ->
               (* Not here — but a split that completed before this
                  (fresh) version snapshot can have moved the key right;
-                 the chase settles it in-pipeline where [multi_get]
-                 falls back. *)
+                 the chase settles it in-pipeline. *)
               chase_or f b (fun () -> finish f `Notfound)
       in
       let step_border f b =
@@ -719,19 +548,11 @@ let multi_get_pipelined t keys =
         | P_advance -> stage_from f
         | P_child n' ->
             (* Hand-over-hand: stabilize the child before revalidating
-               the parent, exactly as get_descend. *)
+               the parent, exactly as fb_descend. *)
             let v' = Version.stable (version_of n') in
             Schedpoint.hit sp_descend_validate;
-            if Version.changed f.qver (Atomic.get (version_of f.qnode)) then begin
-              let v2 = Version.stable (version_of f.qnode) in
-              if Version.vsplit v2 <> Version.vsplit f.qver || Version.deleted v2
-              then restart_layer f
-              else begin
-                Stats.incr t.tstats Stats.Local_retries;
-                f.qver <- v2;
-                f.qstage <- P_advance
-              end
-            end
+            if Version.changed f.qver (Atomic.get (version_of f.qnode)) then
+              revalidate_flight f
             else begin
               f.qnode <- n';
               f.qver <- v';
@@ -761,6 +582,8 @@ let multi_get_pipelined t keys =
           | `Notfound -> None
           | `Pending | `Fallback -> get_attempt t f.qkey)
         flights)
+
+let multi_get_pipelined = multi_get
 
 (* ------------------------------------------------------------------ *)
 (* Writer-side locking helpers                                         *)
@@ -872,14 +695,6 @@ let pick_boundary entries =
   in
   search 0
 
-let ins_pos_interior p ~hi ~lo =
-  let rec go i =
-    if i < p.inkeys && Key.compare_parts (ikey_hi p i) (ikey_lo p i) hi lo <= 0
-    then go (i + 1)
-    else i
-  in
-  go 0
-
 (* Insert (sepkey, nn) above the freshly split pair (n, nn).  Both are
    locked with their splitting bits set; this releases all locks taken. *)
 let rec ascend t root_ref n nn ~sephi ~seplo =
@@ -905,7 +720,7 @@ let rec ascend t root_ref n nn ~sephi ~seplo =
       Schedpoint.hit sp_split_ascend;
       if p.inkeys < width then begin
         Version.mark_inserting p.iversion;
-        let pos = ins_pos_interior p ~hi:sephi ~lo:seplo in
+        let pos = child_index p ~hi:sephi ~lo:seplo in
         for j = p.inkeys downto pos + 1 do
           copy_ikey p ~dst:j ~src:(j - 1);
           p.ichild.(j + 1) <- p.ichild.(j)
@@ -922,7 +737,7 @@ let rec ascend t root_ref n nn ~sephi ~seplo =
         Stats.incr t.tstats Stats.Splits_interior;
         Version.mark_splitting p.iversion;
         Version.unlock (version_of n);
-        let pos = ins_pos_interior p ~hi:sephi ~lo:seplo in
+        let pos = child_index p ~hi:sephi ~lo:seplo in
         (* Combined key/child sequences with the new separator spliced in. *)
         let khi = Array.make (width + 1) 0 in
         let klo = Array.make (width + 1) 0 in
@@ -1113,7 +928,7 @@ let upd_absent u = match u with Const v -> v | Compute f -> f None
 let rec put_layer t root_ref key off u =
   let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
   let rem = String.length key - off in
-  let b = fw_from_root t root_ref ~hi ~lo in
+  let b, _ = find_border t root_ref ~hi ~lo in
   Version.lock b.bversion;
   let b = advance_locked b ~hi ~lo in
   match locate b ~hi ~lo ~rem ~key ~off with
@@ -1506,7 +1321,7 @@ let try_coalesce t b =
 let rec remove_layer t root_ref key off pred =
   let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
   let rem = String.length key - off in
-  let b = fw_from_root t root_ref ~hi ~lo in
+  let b, _ = find_border t root_ref ~hi ~lo in
   Version.lock b.bversion;
   let b = advance_locked b ~hi ~lo in
   match locate b ~hi ~lo ~rem ~key ~off with
@@ -1576,7 +1391,7 @@ let remove_if t key pred = remove_pinned t key pred
 let rec update_layer t root_ref key off f =
   let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
   let rem = String.length key - off in
-  let b = fw_from_root t root_ref ~hi ~lo in
+  let b, _ = find_border t root_ref ~hi ~lo in
   Version.lock b.bversion;
   let b = advance_locked b ~hi ~lo in
   match locate b ~hi ~lo ~rem ~key ~off with

@@ -26,7 +26,7 @@
     That condition is checked mechanically: every ordering-sensitive step
     of every operation is a named {!Schedpoint} ([tree.descend.validate],
     [tree.put.published], [tree.split.migrated], [tree.remove.unlinked],
-    [tree.merge.migrated], … — 27 in this module, plus the [ver.*],
+    [tree.merge.migrated], … — 26 in this module, plus the [ver.*],
     [epoch.*] and [tree.pool.*] points), and
     [lib/schedsim] replays the scenarios in [Scenario.scenarios] under
     exhaustive and randomized interleavings of those points, validating
@@ -92,23 +92,14 @@ val update : 'v t -> Key.t -> ('v -> 'v) -> bool
 val mem : 'v t -> Key.t -> bool
 
 val multi_get : 'v t -> Key.t array -> 'v option array
-(** [multi_get t keys] looks up a batch with interleaved descents: all
-    keys advance one tree level per wave, so on prefetching hardware the
-    DRAM fetches of a whole wave overlap (the PALM-style optimization of
-    §4.8, which the paper measured at up to +34%; on this backend it is
-    semantically [Array.map (get t)] with batched traversal).  Keys that
-    hit concurrent splits or layer descents fall back to plain [get].
-    Schedule point [tree.multiget.wave] fires between waves, so schedsim
-    can land a whole insert burst inside one batch. *)
-
-val multi_get_pipelined : 'v t -> Key.t array -> 'v option array
-(** [multi_get_pipelined t keys] is the software-pipelined group get —
-    semantically [Array.map (get t) keys], structured for memory-level
-    parallelism (docs/BATCHING.md).  Each lookup runs a per-flight state
-    machine (layer root → interior descent → layer hop → border
-    version-validated read → suffix confirmation); one {e round} advances
-    every live flight by one node, and a flight's next node is staged a
-    full round before it is read, so the cache misses of up to
+(** [multi_get t keys] is the software-pipelined group get (the
+    interleaved-descent optimization of §4.8, which the paper measured
+    at up to +34%) — semantically [Array.map (get t) keys], structured
+    for memory-level parallelism (docs/BATCHING.md).  Each lookup runs a
+    per-flight state machine (layer root → interior descent → layer hop
+    → border version-validated read → suffix confirmation); one {e round}
+    advances every live flight by one node, and a flight's next node is
+    staged a full round before it is read, so the cache misses of up to
     [Array.length keys] dependent-load chains land in adjacent,
     independent steps and overlap in the memory system.  (In this OCaml
     port the staging round {e is} the prefetch issue: with no non-binding
@@ -116,9 +107,9 @@ val multi_get_pipelined : 'v t -> Key.t array -> 'v option array
     retirement and shrink the very speculation window that produces the
     overlap — see the note in tree.ml and docs/BATCHING.md §5.)
 
-    Re-entry rule: unlike {!multi_get}, turbulence does {e not} eject a
-    lookup to the sequential path — a trie-layer hop re-enters the
-    pipeline at the sub-layer's root ([tree.pipeline.layer]), a split
+    Re-entry rule: turbulence does {e not} eject a lookup to the
+    sequential path — a trie-layer hop re-enters the pipeline at the
+    sub-layer's root ([tree.pipeline.layer]), a split
     chase follows next-pointers in-pipeline ([tree.get.advance]), and a
     deleted node or failed hand-over-hand validation re-enters from the
     owning layer's (or layer 0's) root ([tree.pipeline.restart], counted
@@ -204,6 +195,13 @@ val root_ref : 'v t -> 'v Node.node ref
 val find_border :
   'v t -> 'v Node.node ref -> hi:int -> lo:int -> 'v Node.border * Version.t
 (** Descend to the border responsible for the slice given as (hi, lo)
-    halves (see {!Key.slice_hi}). *)
+    halves (see {!Key.slice_hi}) and return it with the stable version
+    the descent validated it under.  This is the tree's one sequential
+    descent (Figure 6): [get], [put], [remove], [update], scans and
+    layer collapse all start from it; {!multi_get} runs the same
+    hand-over-hand and revalidation steps as a pipeline. *)
+
+val multi_get_pipelined : 'v t -> Key.t array -> 'v option array
+(** Former name of {!multi_get}; bench/ycsb/replay.ml still calls it. *)
 
 exception Restart

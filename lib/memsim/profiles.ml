@@ -188,7 +188,7 @@ let masstree_pooled_op sim ~n ~rank ~key_len ?(layer_frac = 0.33)
 (* Level-synchronous batched group get over the masstree shape: the same
    trace {!masstree_walk} replays key by key, re-ordered so round r
    visits every lookup's level-r node back-to-back — the event order
-   [Tree.multi_get_pipelined] produces — and priced through
+   [Tree.multi_get] produces — and priced through
    {!Model.visit_group} so the round's independent fetches overlap up to
    the configured MLP width.  Node identities are identical to the
    per-key pooled walk, so a sequential baseline replayed with

@@ -66,17 +66,6 @@ let multi_get ctx keys =
         ~what:(Printf.sprintf "multi_get %S" key))
     a
 
-let multi_get_pipelined ctx keys =
-  let a = Array.of_list keys in
-  let s = Sched.now () in
-  let rs = Tree.multi_get_pipelined ctx.tree a in
-  let e = Sched.now () in
-  Array.iteri
-    (fun i key ->
-      Oracle.record_read ctx.oracle key rs.(i) ~s ~e ~exclude:(-1)
-        ~what:(Printf.sprintf "multi_get_pipelined %S" key))
-    a
-
 let scan ?start ?stop ?(limit = max_int) ctx =
   let emits = ref [] in
   let s = Sched.now () in
@@ -288,8 +277,8 @@ let scenarios : t list =
         ];
     };
     {
-      name = "multiget-vs-insert-wave";
-      descr = "batched multi_get waves race an insert burst";
+      name = "multiget-vs-insert-burst";
+      descr = "pipelined multi_get rounds race an insert burst";
       prepare = (fun c -> for i = 0 to 3 do prepop c (k (2 * i)) done);
       tasks =
         [
@@ -316,7 +305,7 @@ let scenarios : t list =
           ("writer", fun c -> put c (k 13));
           ( "reader",
             fun c ->
-              multi_get_pipelined c [ k 13; k 20; lk "alpha"; k 9 ] );
+              multi_get c [ k 13; k 20; lk "alpha"; k 9 ] );
         ];
     };
     {
@@ -334,7 +323,7 @@ let scenarios : t list =
         [
           ("remover", fun c -> remove c (k 4));
           ( "reader",
-            fun c -> multi_get_pipelined c [ k 16; k 2; k 14 ] );
+            fun c -> multi_get c [ k 16; k 2; k 14 ] );
         ];
     };
     {

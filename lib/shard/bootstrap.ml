@@ -98,9 +98,6 @@ let boot ?(log = ignore) ?hot ~data_dir ~shards ~n_logs () =
     in
     let orphans = List.map (recover_dir ~log) orphan_dirs in
     let recovered = Array.map (recover_dir ~log) dirs in
-    (* Snapshot the superseded on-disk state of the live dirs BEFORE
-       creating this incarnation's logs in the same dirs. *)
-    let stale = Array.map (fun d -> (find_logs d, find_checkpoints d)) dirs in
     let shard_logs = Array.map (fresh_logs ~n_logs) dirs in
     let stores = Array.map (fun logs -> Kvstore.Store.create ~logs ()) shard_logs in
     (* Continue the old incarnation's version clock: migrated records keep
@@ -143,19 +140,13 @@ let boot ?(log = ignore) ?hot ~data_dir ~shards ~n_logs () =
       List.iter
         (fun d -> try rm_rf d with Sys_error _ | Unix.Unix_error _ -> ())
         orphan_dirs;
-      if legacy <> None then begin
-        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) (find_logs data_dir);
-        List.iter
-          (fun c -> try rm_rf c with Sys_error _ | Unix.Unix_error _ -> ())
-          (find_checkpoints data_dir)
-      end;
-      Array.iter
-        (fun (logs, ckpts) ->
-          List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) logs;
-          List.iter
-            (fun c -> try rm_rf c with Sys_error _ | Unix.Unix_error _ -> ())
-            ckpts)
-        stale
+      if legacy <> None then Kvstore.Store.reclaim_dir ~keep:[] data_dir;
+      Array.iteri
+        (fun i d ->
+          Kvstore.Store.reclaim_dir
+            ~keep:(Array.to_list (Array.map Persist.Logger.path shard_logs.(i)))
+            d)
+        dirs
     end;
     Ok { stores; shard_logs; dirs; router }
   with Fail e -> Error e

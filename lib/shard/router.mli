@@ -127,7 +127,7 @@ val offload_stats : t -> int * int
 
 val multi_get : ?worker:int -> t -> string array -> string array option array
 (** Cache hits answered up front; misses grouped per shard and served by
-    that shard's interleaved {!Kvstore.Store.multi_get} wave (§4.8), with
+    that shard's pipelined {!Kvstore.Store.multi_get} (§4.8), with
     results scattered back into request order. *)
 
 val getrange :

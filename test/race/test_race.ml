@@ -301,8 +301,8 @@ let () =
             (run_scenario ~budget:300 ~seeds:6 "remove-vs-scan-rev");
           Alcotest.test_case "scan vs suffix recycle" `Quick
             (run_scenario ~budget:300 ~seeds:6 "remove-vs-scan-suffix");
-          Alcotest.test_case "multi_get vs insert wave" `Quick
-            (run_scenario ~budget:300 ~seeds:6 "multiget-vs-insert-wave");
+          Alcotest.test_case "multi_get vs insert burst" `Quick
+            (run_scenario ~budget:300 ~seeds:6 "multiget-vs-insert-burst");
           Alcotest.test_case "scan_rev split regression" `Quick
             test_scan_rev_split_regression;
         ] );

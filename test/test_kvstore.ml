@@ -378,6 +378,41 @@ let test_recover_with_checkpoint () =
           cols "post-ckpt update applied" (Some [| "v2" |]) (Kvstore.Store.get s2 "k000");
           cols "post-ckpt remove applied" None (Kvstore.Store.get s2 "k199"))
 
+(* The checkpoint cursor resolves 256 entries per refill and resumes its
+   scan at the last key it emitted, skipping that key.  Sizes straddle the
+   chunk boundary, and keys sharing 8- and 16-byte prefixes (plus the bare
+   prefixes themselves) put chunk ends inside deeper trie layers; a resume
+   off by one would drop or duplicate the boundary key. *)
+let test_checkpoint_chunk_boundaries () =
+  List.iter
+    (fun n ->
+      let dir = tmpdir () in
+      let s = Kvstore.Store.create () in
+      let key i =
+        match i mod 3 with
+        | 0 -> Printf.sprintf "k%05d" i
+        | 1 -> if i = 1 then "prefix08" else Printf.sprintf "prefix08%05d" i
+        | _ -> if i = 2 then "prefix16prefix16" else Printf.sprintf "prefix16prefix16%05d" i
+      in
+      for i = 0 to n - 1 do
+        Kvstore.Store.put s (key i) [| Printf.sprintf "v%d" i |]
+      done;
+      let ckdir = Filename.concat dir "ckpt-1" in
+      (match Kvstore.Store.checkpoint s ~dir:ckdir ~writers:2 with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "checkpoint: %s" e);
+      match Kvstore.Store.recover ~log_paths:[] ~checkpoint_dirs:[ ckdir ] () with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok (s2, stats) ->
+          let what = Printf.sprintf "%d keys" n in
+          check_int (what ^ ": entries written") n stats.Persist.Recovery.checkpoint_entries;
+          check_int (what ^ ": cardinal") n (Kvstore.Store.cardinal s2);
+          for i = 0 to n - 1 do
+            cols (what ^ ": " ^ key i) (Some [| Printf.sprintf "v%d" i |])
+              (Kvstore.Store.get s2 (key i))
+          done)
+    [ 256; 257; 513 ]
+
 let test_recover_torn_log () =
   with_logged_store 1 (fun _dir paths s ->
       for i = 0 to 49 do
@@ -541,6 +576,7 @@ let suite =
     Alcotest.test_case "log + recover" `Quick test_log_recover_simple;
     Alcotest.test_case "recover idempotent" `Quick test_recover_is_idempotent;
     Alcotest.test_case "recover with checkpoint" `Quick test_recover_with_checkpoint;
+    Alcotest.test_case "checkpoint chunk boundaries" `Quick test_checkpoint_chunk_boundaries;
     Alcotest.test_case "recover torn log" `Quick test_recover_torn_log;
     Alcotest.test_case "recovery cutoff drop" `Quick test_recover_drops_after_cutoff;
     Alcotest.test_case "concurrent logged workload" `Slow test_concurrent_logged_workload;

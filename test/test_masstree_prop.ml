@@ -163,7 +163,7 @@ let prop_pipelined_group_get =
       let batch =
         Array.of_list (List.map (fun p -> pool.(p mod Array.length pool)) picks)
       in
-      Tree.multi_get_pipelined t batch = Array.map (Tree.get t) batch)
+      Tree.multi_get t batch = Array.map (Tree.get t) batch)
 
 (* Reverse scan must be the mirror of the forward scan at every bound. *)
 let prop_scan_mirror =

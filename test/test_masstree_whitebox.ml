@@ -245,10 +245,9 @@ let test_put_with_in_layers () =
   check_bool "old seen through layer" true (!old = Some 10);
   check_bool "new value" true (Tree.get t "01234567AB" = Some 99)
 
-(* Shared body for both batched-get paths (wave-based [multi_get] and the
-   software-pipelined [multi_get_pipelined]): a large mixed-shape batch
-   must agree with point gets key by key. *)
-let batched_get_equivalence name mg () =
+(* A large mixed-shape batch must agree with point gets key by key, at
+   every batch size from a single flight to the whole 512-key batch. *)
+let test_pipelined_equivalence () =
   let t = Tree.create () in
   let rng = Xutil.Rng.create 21L in
   let keys =
@@ -259,17 +258,16 @@ let batched_get_equivalence name mg () =
         | _ -> String.make (Xutil.Rng.int rng 20) 'q')
   in
   Array.iteri (fun i k -> if i mod 2 = 0 then ignore (Tree.put t k i)) keys;
-  let batch = Array.sub keys 0 512 in
-  let got = mg t batch in
-  Array.iteri
-    (fun i k ->
-      if got.(i) <> Tree.get t k then Alcotest.failf "%s disagrees on %S" name k)
-    batch
-
-let test_multi_get_equivalence = batched_get_equivalence "multi_get" Tree.multi_get
-
-let test_pipelined_equivalence =
-  batched_get_equivalence "multi_get_pipelined" Tree.multi_get_pipelined
+  List.iter
+    (fun n ->
+      let batch = Array.sub keys 0 n in
+      let got = Tree.multi_get t batch in
+      Array.iteri
+        (fun i k ->
+          if got.(i) <> Tree.get t k then
+            Alcotest.failf "multi_get of %d disagrees on %S" n k)
+        batch)
+    [ 1; 2; 15; 512 ]
 
 (* Edge batches through the pipelined state machine: empty, singleton hit
    and miss, duplicate keys (independent flights over the same slot must
@@ -279,18 +277,16 @@ let test_pipelined_edge_batches () =
   for i = 0 to 99 do
     ignore (Tree.put t (Printf.sprintf "edge%04d" i) i)
   done;
-  check_int "empty batch" 0 (Array.length (Tree.multi_get_pipelined t [||]));
-  check_bool "singleton hit" true
-    (Tree.multi_get_pipelined t [| "edge0042" |] = [| Some 42 |]);
-  check_bool "singleton miss" true
-    (Tree.multi_get_pipelined t [| "missing" |] = [| None |]);
+  check_int "empty batch" 0 (Array.length (Tree.multi_get t [||]));
+  check_bool "singleton hit" true (Tree.multi_get t [| "edge0042" |] = [| Some 42 |]);
+  check_bool "singleton miss" true (Tree.multi_get t [| "missing" |] = [| None |]);
   check_bool "duplicates and misses" true
-    (Tree.multi_get_pipelined t [| "edge0007"; "edge0007"; "nope"; "edge0007"; "" |]
+    (Tree.multi_get t [| "edge0007"; "edge0007"; "nope"; "edge0007"; "" |]
     = [| Some 7; Some 7; None; Some 7; None |])
 
-(* Shared body for both batched-get paths under a concurrent writer:
-   stable keys must never be lost however the volatile ones churn. *)
-let batched_get_concurrent name mg () =
+(* Under a concurrent writer, stable keys must never be lost however the
+   volatile ones churn. *)
+let test_pipelined_concurrent () =
   let t = Tree.create () in
   for i = 0 to 4999 do
     ignore (Tree.put t (Printf.sprintf "stable%05d" i) i)
@@ -315,7 +311,7 @@ let batched_get_concurrent name mg () =
                Array.init 64 (fun _ ->
                    Printf.sprintf "stable%05d" (Xutil.Rng.int rng 5000))
              in
-             let got = mg t batch in
+             let got = Tree.multi_get t batch in
              Array.iteri
                (fun i k ->
                  let expected = int_of_string (String.sub k 6 5) in
@@ -325,17 +321,10 @@ let batched_get_concurrent name mg () =
                batch
            done
          end));
-  check_int (Printf.sprintf "no lost keys through %s" name) 0 (Atomic.get bad)
-
-let test_multi_get_concurrent = batched_get_concurrent "multi_get" Tree.multi_get
-
-let test_pipelined_concurrent =
-  batched_get_concurrent "multi_get_pipelined" Tree.multi_get_pipelined
+  check_int "no lost keys through multi_get" 0 (Atomic.get bad)
 
 let suite =
   [
-    Alcotest.test_case "multi_get equivalence" `Quick test_multi_get_equivalence;
-    Alcotest.test_case "multi_get concurrent" `Slow test_multi_get_concurrent;
     Alcotest.test_case "pipelined equivalence" `Quick test_pipelined_equivalence;
     Alcotest.test_case "pipelined edge batches" `Quick test_pipelined_edge_batches;
     Alcotest.test_case "pipelined concurrent" `Slow test_pipelined_concurrent;
