@@ -264,7 +264,7 @@ let run_pooled scale =
 
 let run scale =
   header "arena: pooled node storage vs boxed baseline (write-heavy zipf)";
-  let smoke = scale.keys <= 10_000 in
+  let smoke = scale.smoke in
   subheader
     (Printf.sprintf
        "%d keys, %d ops, 70/15/15 put/remove/get, zipf 0.99, one fresh process per engine"
@@ -325,7 +325,6 @@ let run scale =
   row "modeled put cycles/op at %dM keys: boxed %.0f, pooled %.0f\n"
     (scale.model_keys / 1_000_000) m_boxed m_pooled;
 
-  let oc = open_out "BENCH_arena.json" in
   let emit r =
     Printf.sprintf
       "    {\"engine\": %S, \"ops_per_sec\": %.0f, \"alloc_words_per_op\": %.2f,\n\
@@ -338,7 +337,8 @@ let run scale =
       r.put_max r.get_p50 r.get_p99 r.minors r.majors r.heap_delta_words
       r.gc_minor_pauses r.gc_minor_pause_p99 r.gc_pause_max r.gc_major_pause_max
   in
-  Printf.fprintf oc
+  write_result ~scale "BENCH_arena.json"
+  @@ Printf.sprintf
     "{\n\
     \  \"keys\": %d,\n\
     \  \"ops\": %d,\n\
@@ -354,8 +354,6 @@ let run scale =
     scale.keys scale.ops (emit boxed) (emit pooled) reduction tail_ok
     report.merges report.footprint
     m_boxed m_pooled;
-  close_out oc;
-  row "wrote BENCH_arena.json\n";
 
   (* Gate: the allocation reduction is deterministic enough to assert in
      every mode; the latency tail only at full scale, where one run's

@@ -7,6 +7,7 @@ type scale = {
   model_ops : int; (* operations per modeled trace *)
   domains : int; (* domains for real concurrent runs *)
   seconds : float; (* soft cap per real measurement *)
+  smoke : bool; (* CI-sized run: numbers not meaningful *)
 }
 
 let default_scale =
@@ -19,7 +20,21 @@ let default_scale =
     model_ops = 60_000;
     domains = Xutil.Domain_pool.recommended_domains ~cap:8 ();
     seconds = 10.0;
+    smoke = false;
   }
+
+(* Write an experiment's result file [name] (a committed BENCH_*.json)
+   in the working directory, at full scale only: a smoke run's numbers
+   are not meaningful, so it writes nothing and leaves the committed
+   file alone. *)
+let write_result ~scale name contents =
+  if scale.smoke then Printf.printf "smoke scale: %s not written\n%!" name
+  else begin
+    let oc = open_out name in
+    output_string oc contents;
+    close_out oc;
+    Printf.printf "wrote %s\n%!" name
+  end
 
 let header title =
   Printf.printf "\n=== %s ===\n%!" title

@@ -139,8 +139,8 @@ let run scale =
     (mops snap_rate) snap_p50 snap_p99
     (snap_rate /. idle_rate *. 100.0);
   row "versions live after horizon cleared + prune: %d\n" residual;
-  let oc = open_out "BENCH_mvcc.json" in
-  Printf.fprintf oc
+  write_result ~scale "BENCH_mvcc.json"
+  @@ Printf.sprintf
     "{\n\
     \  \"keys\": %d,\n\
     \  \"domains\": %d,\n\
@@ -153,8 +153,6 @@ let run scale =
      }\n"
     nkeys scale.domains idle_rate idle_p50 idle_p99 snap_rate snap_p50 snap_p99
     (snap_rate /. idle_rate) residual;
-  close_out oc;
-  row "wrote BENCH_mvcc.json\n";
 
   (* Recovery duration. *)
   Kvstore.Store.close store;

@@ -47,6 +47,7 @@ let run_selected names keys ops seconds domains smoke list_only =
           model_ops = 5_000;
           domains = 2;
           seconds = 2.0;
+          smoke = true;
         }
       else
         {

@@ -191,7 +191,7 @@ let trend_matches cells =
 
 let run scale =
   header "MLP group get: pipelined vs sequential, modeled + real (1 core)";
-  let smoke = scale.ops < 100_000 in
+  let smoke = scale.smoke in
   (* The real side must outgrow the caches for fetch overlap to matter:
      full scale floors the population at 2M keys, smoke at 300k (past
      L2, still sub-second to build). *)
@@ -277,10 +277,7 @@ let run scale =
     (Printf.sprintf "  \"acceptance_real_speedup_ge_1_15\": %b,\n" real_ok);
   Buffer.add_string buf
     (Printf.sprintf "  \"acceptance_model_trend_sign_match\": %b\n}\n" trend_ok);
-  let oc = open_out "BENCH_mlp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  row "wrote BENCH_mlp.json\n";
+  write_result ~scale "BENCH_mlp.json" (Buffer.contents buf);
   if smoke && best_ge8 < 1.0 then begin
     Printf.eprintf
       "bench mlp --smoke: pipelined group get slower than sequential (%.2fx)\n"

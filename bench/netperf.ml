@@ -179,7 +179,4 @@ let run scale =
        (sp "unix"));
   Buffer.add_string buf
     (Printf.sprintf "  \"steady_state_buf_grows\": %d\n}\n" !grows);
-  let oc = open_out "BENCH_net.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  row "wrote BENCH_net.json\n"
+  write_result ~scale "BENCH_net.json" (Buffer.contents buf)

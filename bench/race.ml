@@ -192,4 +192,4 @@ let run (scale : Bench_util.scale) =
     "\n=== race: deterministic interleaving sweep over the OCC core ===\n%!";
   match Sys.getenv_opt "MT_RACE_SCENARIO" with
   | Some name -> replay name
-  | None -> sweep ~smoke:(scale.Bench_util.keys <= 10_000)
+  | None -> sweep ~smoke:scale.Bench_util.smoke

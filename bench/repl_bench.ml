@@ -265,7 +265,7 @@ let run scale =
   row "%-34s %10.0f ops/s   served %d  fallback %d\n" "replica offload" o_ops
     served fallback;
   row "median of %d paired ratios: %.2fx\n" rounds speedup;
-  let smoke = scale.ops < 100_000 in
+  let smoke = scale.smoke in
   let verdict ok =
     if smoke then "smoke scale, informational" else if ok then "PASS" else "FAIL"
   in
@@ -302,10 +302,7 @@ let run scale =
     (Printf.sprintf "  \"acceptance_offload_speedup_ge_1_3\": %b,\n" (speedup >= 1.3));
   Buffer.add_string buf
     (Printf.sprintf "  \"acceptance_bootstrap_converged_lag0\": %b\n}\n" converged);
-  let oc = open_out "BENCH_repl.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  row "wrote BENCH_repl.json\n";
+  write_result ~scale "BENCH_repl.json" (Buffer.contents buf);
   Repl.Source.close src;
   (* [ded] and [loader] wrap the same stores; close once. *)
   Shard.Router.close ded

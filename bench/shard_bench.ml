@@ -211,7 +211,7 @@ let run scale =
      are informational there instead of PASS/FAIL. *)
   let speedup = z_ratio in
   let u_delta = abs_float (u_ratio -. 1.0) *. 100.0 in
-  let verdict ok = if scale.ops < 100_000 then "smoke scale, informational" else if ok then "PASS" else "FAIL" in
+  let verdict ok = if scale.smoke then "smoke scale, informational" else if ok then "PASS" else "FAIL" in
   row "zipfian mitigation speedup: %.2fx  (acceptance: >= 1.5x: %s)\n" speedup
     (verdict (speedup >= 1.5));
   row "uniform mitigation delta: %.1f%%  (acceptance: within 5%%: %s)\n" u_delta
@@ -244,8 +244,5 @@ let run scale =
     (Printf.sprintf "  \"acceptance_zipf_speedup_ge_1_5\": %b,\n" (speedup >= 1.5));
   Buffer.add_string buf
     (Printf.sprintf "  \"acceptance_uniform_within_5pct\": %b\n}\n" (u_delta <= 5.0));
-  let oc = open_out "BENCH_shard.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  row "wrote BENCH_shard.json\n";
+  write_result ~scale "BENCH_shard.json" (Buffer.contents buf);
   Shard.Router.close hot

@@ -311,6 +311,22 @@ let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_
             (P.Get { key = Printf.sprintf "d%d-%06d" other i; columns = [] })
             (fun _ -> ())
       | p when p < 98 ->
+          (* Drain the pipeline first, as the snapshot oracle does: with
+             nothing in flight the oracle is exactly the server's state
+             of this domain's keys (no other domain writes them), and
+             they are contiguous from [k], so the reply must open with
+             the oracle's first 20 keys from [k], columns included, and
+             hold none of them after another domain's key. *)
+          while not (Queue.is_empty inflight) do
+            recv_one ()
+          done;
+          let prefix = Printf.sprintf "d%d-" d in
+          let own k' = String.starts_with ~prefix k' in
+          let expected =
+            Hashtbl.fold (fun k' v acc -> if k' >= k then (k', v) :: acc else acc) oracle []
+            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+            |> List.filteri (fun i _ -> i < 20)
+          in
           send
             (P.Getrange { start = k; count = 20; columns = [] })
             (function
@@ -321,7 +337,14 @@ let run seconds domains keyspace checkpoint_every stats_interval net pipeline n_
                       if !prev <> "" && String.compare k' !prev <= 0 then
                         fail "domain %d: net scan order violation at %s" d k';
                       prev := k')
-                    items
+                    items;
+                  let mine = List.filter (fun (k', _) -> own k') items in
+                  if List.length items > 20 then
+                    fail "domain %d: net scan returned %d items" d (List.length items);
+                  if List.filteri (fun i _ -> i < List.length mine) items <> mine then
+                    fail "domain %d: net scan interleaved other keys into %s*" d prefix;
+                  if mine <> expected then
+                    fail "domain %d: net scan from %s diverged from the oracle" d k
               | _ -> fail "domain %d: unexpected scan reply" d)
       | _ ->
           (* Snapshot oracle over the wire.  Drain the pipeline first so

@@ -42,28 +42,56 @@ val set_readonly : backend -> bool -> unit
 
 val is_readonly : backend -> bool
 
-val execute : worker:int -> backend -> Protocol.request -> Protocol.response
-(** [execute ~worker backend req] runs one request; [worker] selects the
-    update log (one per query worker, §5).  Never raises: failures come
-    back as [Failed].
+val serve_frames :
+  worker:int -> backend -> buf:string -> frames:(int * int) list -> Netbuf.Out.t -> unit
+(** The serving path, which the reactor runs: every complete frame that
+    arrived in one readable event, decoded in place from the receive
+    buffer ([(pos, len)] body spans into [buf]), executed, and answered
+    in order, one length-prefixed response frame per request frame
+    written straight into the connection's output buffer.
+
+    Replies are written, never built: a single store's values are
+    blitted from their stored blocks ({!Kvstore.Store.write_columns}),
+    scanned keys from the tree's borrowed key buffer, and a [Range]
+    count is back-patched as a varint padded to the width of the
+    request's limit (docs/PROTOCOL.md).  A sharded backend's router
+    returns column arrays (its hot cache holds them), written as they
+    come.  An exception while a request runs rewinds the buffer to the
+    start of that reply and writes [Failed] in its place.
+
+    Consecutive frames consisting solely of full-value Gets share one
+    pipelined multi-get spanning the whole run — the §4.8 optimization
+    applied across the pipeline window, not just within one message (on
+    a sharded backend the router fans it out per shard).  A malformed
+    frame is answered with a single [Failed] and the stream continues.
 
     When {!Obs.Registry.global} is enabled (the default), every request
-    also records its latency and outcome per worker — [ops.<kind>] /
+    records its latency and outcome per worker — [ops.<kind>] /
     [ops.failed] counters, [lat_us.<kind>] histograms — and requests
-    slower than the trace threshold land in the slow-op ring.  A [Stats]
-    request returns a {!Obs.Snapshot.t} of all of it. *)
+    slower than the trace threshold land in the slow-op ring; a merged
+    get run records one [lat_us.multiget_batch] sample, one
+    [ops.batches] per frame and one [ops.get] per key.  [worker] selects
+    the update log (one per query worker, §5). *)
+
+val handle_frame : worker:int -> backend -> string -> string
+(** [handle_frame ~worker backend body] answers one request frame body
+    with its response frame body through the same path as
+    {!serve_frames} (a batch of full-value Gets takes the multi-get).
+    A malformed frame yields a single [Failed] response. *)
+
+(** {1 Typed entry points}
+
+    Thin adapters over the serving path: they run it into a scratch
+    buffer and decode what it wrote, so they share its semantics
+    exactly.  Never raise: failures come back as [Failed]. *)
+
+val execute : worker:int -> backend -> Protocol.request -> Protocol.response
+(** One request.  A [Stats] request returns a {!Obs.Snapshot.t} of the
+    telemetry. *)
 
 val execute_batch :
   worker:int -> backend -> Protocol.request list -> Protocol.response list
-(** Batches consisting solely of full-value Gets run through the
-    pipelined multi-get path (the §4.8 parallel-lookup optimization
-    applied to the network stack; on a sharded backend the router fans
-    the batch out per shard). *)
-
-val handle_frame : worker:int -> backend -> string -> string
-(** [handle_frame ~worker backend body] decodes a request frame body,
-    executes it, and encodes the response frame body.  A malformed frame
-    yields a single [Failed] response. *)
+(** One batch, as {!handle_frame} runs it. *)
 
 val execute_frames :
   worker:int ->
@@ -71,12 +99,5 @@ val execute_frames :
   buf:string ->
   frames:(int * int) list ->
   emit:(Protocol.response list -> unit) -> unit
-(** Pipelined execution for the reactor: every complete frame that
-    arrived in one readable event, decoded in place from the receive
-    buffer ([(pos, len)] body spans into [buf]) and executed as one
-    batch.  Consecutive frames consisting solely of full-value Gets are
-    merged into a single pipelined multi-get spanning the whole
-    run — the §4.8 optimization applied across the pipeline window, not
-    just within one message.  [emit] is called once per frame, in order;
-    a malformed frame emits a single [Failed] response and the stream
-    continues. *)
+(** {!serve_frames}, with [emit] called once per frame, in order, on the
+    decoded responses. *)

@@ -277,6 +277,30 @@ let encode_response w = function
       Binio.write_u8 w 16;
       Binio.write_u64 w applied
 
+(* ---- reply sink: a response written piece by piece ---- *)
+
+let write_absent w = Binio.write_u8 w 1
+
+let begin_value w = Binio.write_u8 w 2
+
+let write_value w = function
+  | None -> write_absent w
+  | Some cols ->
+      begin_value w;
+      write_cols w cols
+
+let begin_range w ~limit =
+  Binio.write_u8 w 5;
+  Binio.reserve w (Binio.varint_size (Int.max 0 limit))
+
+let end_range w pos ~limit n = Binio.patch_varint w ~pos ~width:(Binio.varint_size (Int.max 0 limit)) n
+
+let write_key w b len =
+  Binio.write_varint w len;
+  Binio.write_bytes w b 0 len
+
+let write_failed w msg = encode_response w (Failed msg)
+
 let decode_response r =
   match Binio.read_u8 r with
   | 1 -> Value None

@@ -115,6 +115,44 @@ val encode_responses_into : Xutil.Binio.writer -> response list -> unit
     per frame.  The caller writes the length prefix itself (reserve 4
     bytes, encode, {!Xutil.Binio.patch_u32}). *)
 
+(** {2 Reply sink}
+
+    The server writes replies piece by piece, straight from stored bytes
+    into the connection's output buffer, in exactly the encoding
+    {!encode_responses} gives the typed {!response}s (docs/PROTOCOL.md).
+    A batch body is a varint count, then the replies. *)
+
+val encode_response : Xutil.Binio.writer -> response -> unit
+(** One typed reply. *)
+
+val decode_response : Xutil.Binio.reader -> response
+
+val write_absent : Xutil.Binio.writer -> unit
+(** [Value None]. *)
+
+val begin_value : Xutil.Binio.writer -> unit
+(** The tag of [Value (Some _)]; the column list follows. *)
+
+val write_value : Xutil.Binio.writer -> string array option -> unit
+
+val write_cols : Xutil.Binio.writer -> string array -> unit
+(** A column list: varint count, then each column as a string. *)
+
+val begin_range : Xutil.Binio.writer -> limit:int -> int
+(** The tag of [Range _] and room for its count, padded to the width of
+    [limit] ({!Xutil.Binio.varint_size}); returns the count's position.
+    Each item follows as {!write_key} (or a string) and a column list. *)
+
+val end_range : Xutil.Binio.writer -> int -> limit:int -> int -> unit
+(** [end_range w pos ~limit n] back-patches the count [n <= limit] as a
+    varint padded to [limit]'s width — for limits below 128 the bytes
+    {!encode_responses} writes. *)
+
+val write_key : Xutil.Binio.writer -> Bytes.t -> int -> unit
+(** [write_key w buf len]: the key [buf.[0 .. len)] as a string. *)
+
+val write_failed : Xutil.Binio.writer -> string -> unit
+
 val decode_requests_sub : string -> pos:int -> len:int -> request list
 (** [decode_requests_sub buf ~pos ~len] decodes a frame body sitting at
     [\[pos, pos+len)] inside a larger receive buffer, in place.

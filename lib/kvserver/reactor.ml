@@ -138,12 +138,8 @@ let handle_readable server shard conn =
       let nframes = List.length frames in
       Obs.Registry.add ~worker:shard.sid frames_ctr nframes;
       Obs.Registry.observe ~worker:shard.sid frames_per_wakeup_hist nframes;
-      Engine.execute_frames ~worker:shard.sid server.backend
-        ~buf:(Netbuf.In.contents conn.inb) ~frames
-        ~emit:(fun resps ->
-          let marker = Netbuf.Out.begin_frame conn.out in
-          Protocol.encode_responses_into (Netbuf.Out.writer conn.out) resps;
-          Netbuf.Out.end_frame conn.out marker));
+      Engine.serve_frames ~worker:shard.sid server.backend
+        ~buf:(Netbuf.In.contents conn.inb) ~frames conn.out);
   if !bad then begin
     (* Framing is unrecoverable (negative/oversized length): answer what
        was well-framed, then hang up. *)

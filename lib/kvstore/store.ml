@@ -30,15 +30,14 @@ type content =
 
 let offset_width total = if total < 0x100 then 1 else if total < 0x10000 then 2 else 4
 
-let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+let varint_size = Xutil.Binio.varint_size
 
-let flat_count s =
-  let rec go p shift acc =
-    let b = Char.code (String.unsafe_get s p) in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then acc else go (p + 1) (shift + 7) acc
-  in
-  go 0 0 0
+let rec flat_count_from s p shift acc =
+  let b = Char.code (String.unsafe_get s p) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else flat_count_from s (p + 1) (shift + 7) acc
+
+let flat_count s = flat_count_from s 0 0 0
 
 (* End offset [i] from the table at [tbl]. *)
 let flat_end s tbl w i =
@@ -130,6 +129,60 @@ let project columns requested = project_content (Cols columns) requested
 let columns_of content = function
   | None -> unpack content
   | Some requested -> project_content content requested
+
+(* ---- views: stored content written straight to a reply ---- *)
+
+type view = content
+
+(* Column [i < n] of a [Flat] block in the column-list encoding: its
+   length, then its bytes, blitted from the block. *)
+let write_flat_column out s ~n ~tbl ~w i =
+  let st = if i = 0 then 0 else flat_end s tbl w (i - 1) in
+  let len = flat_end s tbl w i - st in
+  Xutil.Binio.write_varint out len;
+  Xutil.Binio.write_sub out s (tbl + (n * w) + st) len
+
+let write_missing out = Xutil.Binio.write_varint out 0
+
+let rec write_cols_requested out a = function
+  | [] -> ()
+  | i :: rest ->
+      if i >= 0 && i < Array.length a then Xutil.Binio.write_string out (Array.unsafe_get a i)
+      else write_missing out;
+      write_cols_requested out a rest
+
+let rec write_flat_requested out s ~n ~tbl ~w = function
+  | [] -> ()
+  | i :: rest ->
+      if i >= 0 && i < n then write_flat_column out s ~n ~tbl ~w i else write_missing out;
+      write_flat_requested out s ~n ~tbl ~w rest
+
+let write_columns out content requested =
+  match requested with
+  | [] -> (
+      match content with
+      | Tomb -> write_missing out
+      | Cols a ->
+          Xutil.Binio.write_varint out (Array.length a);
+          Array.iter (Xutil.Binio.write_string out) a
+      | Flat s ->
+          let n = flat_count s in
+          let tbl = varint_size n + 1 in
+          let w = String.get_uint8 s (tbl - 1) in
+          (* The block starts with the same count varint. *)
+          Xutil.Binio.write_sub out s 0 (tbl - 1);
+          for i = 0 to n - 1 do
+            write_flat_column out s ~n ~tbl ~w i
+          done)
+  | l -> (
+      Xutil.Binio.write_varint out (List.length l);
+      match content with
+      | Tomb -> write_cols_requested out [||] l
+      | Cols a -> write_cols_requested out a l
+      | Flat s ->
+          let n = flat_count s in
+          let tbl = varint_size n + 1 in
+          write_flat_requested out s ~n ~tbl ~w:(String.get_uint8 s (tbl - 1)) l)
 
 let content_of layout columns =
   match layout with Contiguous -> pack columns | Columnar -> Cols (Array.copy columns)
@@ -363,22 +416,29 @@ let get_value t key =
   | Some { sversion; scontent; _ } ->
       Some { version = Int64.of_int sversion; columns = unpack scontent }
 
-let get t key =
-  match Tree.get t.tree key with
+let view_of = function
   | Some { scontent = Tomb; _ } | None -> None
-  | Some { scontent; _ } -> Some (unpack scontent)
+  | Some { scontent; _ } -> Some scontent
 
-let multi_get t keys =
+let get_view t key = view_of (Tree.get t.tree key)
+
+(* One pass over the batch's results fetches every head and touches its
+   block, so a reply written from them finds each in cache. *)
+let multi_get_views t keys =
   Array.map
-    (function
-      | Some { scontent = Tomb; _ } | None -> None
-      | Some { scontent; _ } -> Some (unpack scontent))
+    (fun st ->
+      match view_of st with
+      | Some (Flat s) as v ->
+          ignore (Sys.opaque_identity (String.unsafe_get s 0));
+          v
+      | v -> v)
     (Tree.multi_get t.tree keys)
 
-let get_columns t key cols =
-  match Tree.get t.tree key with
-  | Some { scontent = Tomb; _ } | None -> None
-  | Some { scontent; _ } -> Some (project_content scontent cols)
+let get t key = Option.map unpack (get_view t key)
+
+let multi_get t keys = Array.map (fun v -> Option.map unpack v) (multi_get_views t keys)
+
+let get_columns t key cols = Option.map (fun c -> project_content c cols) (get_view t key)
 
 (* ---- writes ---- *)
 
@@ -526,51 +586,6 @@ let remove ?worker t key =
 
 (* ---- scans ---- *)
 
-let getrange t ~start ?columns ~limit f =
-  if limit <= 0 then 0
-  else begin
-    let emitted = ref 0 in
-    let exception Done in
-    (try
-       ignore
-         (Tree.scan t.tree ~start ~limit:max_int (fun k v ->
-              match v.scontent with
-              | Tomb -> ()
-              | content ->
-                  f k (columns_of content columns);
-                  incr emitted;
-                  if !emitted >= limit then raise Done))
-     with Done -> ());
-    !emitted
-  end
-
-let getrange_rev t ?start ?columns ~limit f =
-  if limit <= 0 then 0
-  else begin
-    let emitted = ref 0 in
-    let exception Done in
-    (try
-       ignore
-         (Tree.scan_rev t.tree ?start ~limit:max_int (fun k v ->
-              match v.scontent with
-              | Tomb -> ()
-              | content ->
-                  f k (columns_of content columns);
-                  incr emitted;
-                  if !emitted >= limit then raise Done))
-     with Done -> ());
-    !emitted
-  end
-
-let cardinal t =
-  let n = ref 0 in
-  ignore
-    (Tree.scan t.tree ~limit:max_int (fun _ v ->
-         match v.scontent with Tomb -> () | Flat _ | Cols _ -> incr n));
-  !n
-
-(* ---- snapshots ---- *)
-
 (* The content of [st] visible at version [at]: the head's if it is old
    enough, else the newest chain entry at or below [at]; [Tomb] (absent)
    when there is no version that old (born later, or pruned — the
@@ -589,6 +604,65 @@ let resolved_version st ~at =
     match Mvcc.Chain.find st.schain ~at:(Int64.of_int at) with
     | Some e -> Int64.to_int e.Mvcc.Chain.version
     | None -> st.sversion
+
+(* The entries of one borrowed-key tree scan visible at version [at]
+   ([max_int]: the live heads), up to [limit] of them: tombstones and
+   keys born after [at] are skipped and do not count.  Snapshot scans
+   ([snap]) mark each entry's resolution for lib/schedsim. *)
+let scan_at scan ~at ~snap ~limit f =
+  if limit <= 0 then 0
+  else begin
+    let emitted = ref 0 in
+    let exception Done in
+    (try
+       ignore
+         (scan (fun kb klen st ->
+              if snap then Schedpoint.hit sp_snap_read;
+              match resolve_at st ~at with
+              | Tomb -> ()
+              | content ->
+                  f kb klen st content;
+                  incr emitted;
+                  if !emitted >= limit then raise Done))
+     with Done -> ());
+    !emitted
+  end
+
+(* A scan's value prefetch: the stored record, its block and the block's
+   offset table are what [write_columns] reads. *)
+let touch st =
+  match st.scontent with
+  | Flat s -> ignore (Sys.opaque_identity (String.unsafe_get s 0))
+  | Cols a -> ignore (Sys.opaque_identity (Array.length a))
+  | Tomb -> ()
+
+let getrange_view t ~start ~limit f =
+  scan_at
+    (fun g -> Tree.scan_borrowed t.tree ~start ~touch ~limit:max_int g)
+    ~at:max_int ~snap:false ~limit
+    (fun kb klen _ v -> f kb klen v)
+
+let getrange_rev_view t ?start ~limit f =
+  scan_at
+    (fun g -> Tree.scan_rev_borrowed t.tree ?start ~touch ~limit:max_int g)
+    ~at:max_int ~snap:false ~limit
+    (fun kb klen _ v -> f kb klen v)
+
+let typed columns f kb klen v = f (Bytes.sub_string kb 0 klen) (columns_of v columns)
+
+let getrange t ~start ?columns ~limit f = getrange_view t ~start ~limit (typed columns f)
+
+let getrange_rev t ?start ?columns ~limit f =
+  getrange_rev_view t ?start ~limit (typed columns f)
+
+let cardinal t =
+  let n = ref 0 in
+  ignore
+    (Tree.scan t.tree ~limit:max_int (fun _ v ->
+         match v.scontent with Tomb -> () | Flat _ | Cols _ -> incr n));
+  !n
+
+(* ---- snapshots ---- *)
 
 module Snapshot = struct
   type store = t
@@ -611,7 +685,7 @@ module Snapshot = struct
   let check_open s =
     if Atomic.get s.sclosed then invalid_arg "Store.Snapshot: use after close"
 
-  let read_content s key =
+  let read_view s key =
     check_open s;
     let at = Int64.to_int (version s) in
     Schedpoint.hit sp_snap_read;
@@ -619,30 +693,24 @@ module Snapshot = struct
     | None -> None
     | Some st -> ( match resolve_at st ~at with Tomb -> None | c -> Some c)
 
-  let read s key = Option.map unpack (read_content s key)
+  let read s key = Option.map unpack (read_view s key)
 
-  let read_columns s key cols = Option.map (fun c -> project_content c cols) (read_content s key)
+  let read_columns s key cols = Option.map (fun c -> project_content c cols) (read_view s key)
 
-  let getrange s ~start ?columns ~limit f =
+  (* Every entry resolved at the cut, tombstones and later-born keys
+     skipped. *)
+  let scan_cut s ~start ~limit f =
     check_open s;
-    if limit <= 0 then 0
-    else begin
-      let at = Int64.to_int (version s) in
-      let emitted = ref 0 in
-      let exception Done in
-      (try
-         ignore
-           (Tree.scan s.sstore.tree ~start ~limit:max_int (fun k st ->
-                Schedpoint.hit sp_snap_read;
-                match resolve_at st ~at with
-                | Tomb -> ()
-                | content ->
-                    f k (columns_of content columns);
-                    incr emitted;
-                    if !emitted >= limit then raise Done))
-       with Done -> ());
-      !emitted
-    end
+    let at = Int64.to_int (version s) in
+    scan_at
+      (fun g -> Tree.scan_borrowed s.sstore.tree ~start ~touch ~limit:max_int g)
+      ~at ~snap:true ~limit
+      (fun kb klen st content -> f kb klen at st content)
+
+  let getrange_view s ~start ~limit f =
+    scan_cut s ~start ~limit (fun kb klen _ _ v -> f kb klen v)
+
+  let getrange s ~start ?columns ~limit f = getrange_view s ~start ~limit (typed columns f)
 
   (* Replication bootstrap feed: [getrange] that also yields each
      resolved entry's version, so the receiver can apply through the
@@ -650,25 +718,8 @@ module Snapshot = struct
      the feed safely (newest version wins either way).  Tombstones at
      the cut are skipped — the feed seeds an empty store. *)
   let getrange_versioned s ~start ~limit f =
-    check_open s;
-    if limit <= 0 then 0
-    else begin
-      let at = Int64.to_int (version s) in
-      let emitted = ref 0 in
-      let exception Done in
-      (try
-         ignore
-           (Tree.scan s.sstore.tree ~start ~limit:max_int (fun k st ->
-                Schedpoint.hit sp_snap_read;
-                match resolve_at st ~at with
-                | Tomb -> ()
-                | content ->
-                    f k (Int64.of_int (resolved_version st ~at)) (unpack content);
-                    incr emitted;
-                    if !emitted >= limit then raise Done))
-       with Done -> ());
-      !emitted
-    end
+    scan_cut s ~start ~limit (fun kb klen at st content ->
+        f (Bytes.sub_string kb 0 klen) (Int64.of_int (resolved_version st ~at)) (unpack content))
 
   let close s =
     if not (Atomic.exchange s.sclosed true) then begin

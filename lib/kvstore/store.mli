@@ -85,6 +85,40 @@ val getrange_rev :
 (** Descending scan from [start] (default: the maximum key) — the paper's
     getrange "in either direction" (§4.3). *)
 
+(** {1 Views: stored values written straight into a reply}
+
+    The serving path reads through these: a view is a value's immutable
+    stored content (the one [Contiguous] block, or the [Columnar] column
+    array), and {!write_columns} blits the requested columns from it
+    into the reply buffer, so a read builds no column strings.  A view
+    stays valid as long as the caller holds it: stored content is never
+    written after it is published. *)
+
+type view
+
+val get_view : t -> string -> view option
+
+val multi_get_views : t -> string array -> view option array
+(** {!multi_get}'s pipelined group get, returning views. *)
+
+val getrange_view :
+  t -> start:string -> limit:int -> (Bytes.t -> int -> view -> unit) -> int
+(** {!getrange} over views: [f buf len view] gets the key as
+    [buf.[0 .. len)], borrowed from the tree scan
+    ({!Masstree_core.Tree.scan_borrowed}) — valid only until [f]
+    returns. *)
+
+val getrange_rev_view :
+  t -> ?start:string -> limit:int -> (Bytes.t -> int -> view -> unit) -> int
+
+val write_columns : Xutil.Binio.writer -> view -> int list -> unit
+(** [write_columns w view requested] writes the [requested] columns
+    ([[]] = all of them) in the column-list encoding {!Persist.Logrec}
+    and the wire protocol use — a varint count, then each column as a
+    varint length and its bytes — blitting each column straight from
+    the stored block through its offset table.  Missing indexes write
+    as [""], as in {!get_columns}. *)
+
 val cardinal : t -> int
 
 (** {1 Snapshots (MVCC; docs/MVCC.md)}
@@ -123,12 +157,19 @@ module Snapshot : sig
 
   val read_columns : snap -> string -> int list -> string array option
 
+  val read_view : snap -> string -> view option
+
   val getrange :
     snap -> start:string -> ?columns:int list -> limit:int ->
     (string -> string array -> unit) -> int
   (** Consistent ascending scan at the cut: every emitted pair is the
       key's state as of {!version}, tombstones and later-born keys
       skipped. *)
+
+  val getrange_view :
+    snap -> start:string -> limit:int -> (Bytes.t -> int -> view -> unit) -> int
+  (** {!getrange} over views: the key is borrowed, valid only until [f]
+      returns. *)
 
   val getrange_versioned :
     snap -> start:string -> limit:int ->

@@ -59,7 +59,12 @@ let unregister s =
   (* Hand any un-freed limbo objects to the manager as tasks so they are
      not lost; they are already safe or will be by the time tasks run. *)
   Xutil.Spinlock.with_lock s.limbo_lock (fun () ->
-      Queue.iter (fun (_, free) -> Xutil.Mpsc_queue.push s.mgr.tasks free) s.limbo;
+      Queue.iter
+        (fun (_, free) ->
+          Xutil.Mpsc_queue.push s.mgr.tasks (fun () ->
+              Atomic.decr s.mgr.pending_count;
+              free ()))
+        s.limbo;
       Queue.clear s.limbo);
   let rec remove () =
     let old = Atomic.get s.mgr.slots in
@@ -101,12 +106,12 @@ let try_advance mgr =
   if all_observed then ignore (Atomic.compare_and_set mgr.epoch ge (ge + 1));
   all_observed
 
-let run_tasks mgr =
-  if Xutil.Spinlock.try_lock mgr.task_lock then begin
-    Fun.protect
-      ~finally:(fun () -> Xutil.Spinlock.unlock mgr.task_lock)
-      (fun () -> ignore (Xutil.Mpsc_queue.drain mgr.tasks (fun task -> task ())))
-  end
+let drain_tasks mgr =
+  Fun.protect
+    ~finally:(fun () -> Xutil.Spinlock.unlock mgr.task_lock)
+    (fun () -> ignore (Xutil.Mpsc_queue.drain mgr.tasks (fun task -> task ())))
+
+let run_tasks mgr = if Xutil.Spinlock.try_lock mgr.task_lock then drain_tasks mgr
 
 (* [enter]/[leave] are the allocation-free spelling of [pin]: the tree's
    point-operation hot paths call them directly so a get costs no
@@ -153,18 +158,31 @@ let tick s =
 let sp_quiesce_spin = Schedpoint.define "epoch.quiesce.spin"
 
 let quiesce mgr =
-  (* Advance at least two epochs past every current retirement and drain
-     everything drainable.  Spins while other participants stay pinned. *)
+  (* Advance at least two epochs past every current retirement, free it,
+     and run the scheduled tasks — then again while a task retired
+     storage or scheduled another task, so nothing retired before the
+     call, or by its tasks, is left deferred.  Spins while other
+     participants stay pinned, and waits for the task lock: a runner
+     that holds it may be mid-way through a task that retires. *)
   let b = Xutil.Backoff.create () in
-  let target = Atomic.get mgr.epoch + 3 in
-  while Atomic.get mgr.epoch < target do
-    if not (try_advance mgr) then begin
+  let rec round () =
+    let target = Atomic.get mgr.epoch + 3 in
+    while Atomic.get mgr.epoch < target do
+      if not (try_advance mgr) then begin
+        Schedpoint.spin sp_quiesce_spin;
+        Xutil.Backoff.once b
+      end
+    done;
+    List.iter (fun s -> if s.active then collect s) (Atomic.get mgr.slots);
+    while not (Xutil.Spinlock.try_lock mgr.task_lock) do
       Schedpoint.spin sp_quiesce_spin;
       Xutil.Backoff.once b
-    end
-  done;
-  List.iter (fun s -> if s.active then collect s) (Atomic.get mgr.slots);
-  run_tasks mgr
+    done;
+    drain_tasks mgr;
+    if Atomic.get mgr.pending_count > 0 || not (Xutil.Mpsc_queue.is_empty mgr.tasks) then
+      round ()
+  in
+  round ()
 
 let pending mgr = Atomic.get mgr.pending_count
 

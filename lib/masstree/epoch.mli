@@ -57,6 +57,12 @@ val schedule : manager -> (unit -> unit) -> unit
 (** [schedule m task] enqueues a maintenance task; it runs during some
     later {!quiesce} or {!tick}, outside all critical sections. *)
 
+val run_tasks : manager -> unit
+(** Run the scheduled maintenance tasks now, unless another runner holds
+    them, without waiting for any epoch: a domain with nothing pinned
+    does this from {!tick} while other domains stay pinned.  lib/schedsim
+    calls it to run a layer collapse under a pinned scan. *)
+
 val tick : handle -> unit
 (** [tick h] opportunistically tries to advance the global epoch, frees
     anything that became safe, and runs due maintenance tasks.  Cheap when
@@ -64,9 +70,12 @@ val tick : handle -> unit
 
 val quiesce : manager -> unit
 (** [quiesce m] advances epochs until everything retired before the call
-    is freed and all scheduled maintenance has run.  Spins while other
-    participants are pinned; call from a quiescent coordinator (tests,
-    shutdown, checkpointer). *)
+    is freed and all scheduled maintenance has run, repeating while that
+    maintenance retires storage or schedules more, so on return nothing
+    is pending.  Spins while other participants are pinned and waits out
+    a concurrent task runner; call from a quiescent coordinator (tests,
+    shutdown, checkpointer) — with writers still retiring, it runs until
+    it catches them with nothing pending. *)
 
 val pending : manager -> int
 (** Number of retired-but-not-yet-freed objects (for tests/stats). *)

@@ -77,6 +77,22 @@ let keylen b slot = lo_word b slot land klen_mask
 let suffix_handle b slot =
   decode_handle ((hi_word b slot lsr handle_shift) land handle_mask)
 
+(* The scan cursor's fill: the first [n] entries of [perm] copied into
+   flat arrays in key order, reading each slot's two cell words once
+   straight from the cell's slab. *)
+let copy_entries b perm n ~hi ~lo ~klen ~suf ~lv =
+  let slab = Pool.cell_slab b.bpool b.bcell and base = Pool.slab_offset b.bcell in
+  for i = 0 to n - 1 do
+    let slot = Permutation.get perm i in
+    let hw = Bigarray.Array1.unsafe_get slab (base + slot)
+    and lw = Bigarray.Array1.unsafe_get slab (base + lo_off + slot) in
+    Array.unsafe_set hi i (hw land hi_mask);
+    Array.unsafe_set lo i (lw lsr 4);
+    Array.unsafe_set klen i (lw land klen_mask);
+    Array.unsafe_set suf i (decode_handle ((hw lsr handle_shift) land handle_mask));
+    Array.unsafe_set lv i (Array.unsafe_get b.blv slot)
+  done
+
 let set_hi_word b slot ~hi ~h =
   Pool.set b.bpool (b.bcell + slot) (hi lor (encode_handle h lsl handle_shift))
 

@@ -96,6 +96,24 @@ val slice_hi : 'v border -> int -> int
 val slice_lo : 'v border -> int -> int
 val keylen : 'v border -> int -> int
 val suffix_handle : 'v border -> int -> int
+
+val copy_entries :
+  'v border ->
+  Permutation.t ->
+  int ->
+  hi:int array ->
+  lo:int array ->
+  klen:int array ->
+  suf:int array ->
+  lv:'v link_or_value array ->
+  unit
+(** [copy_entries b perm n ~hi ~lo ~klen ~suf ~lv] copies the first [n]
+    entries of [perm] — slice halves, key length, suffix handle and
+    value — into the arrays at indexes [0 .. n), in key order: the scan
+    cursor's fill, one call per border.  The arrays hold at least [n]
+    elements ([n <= width]).  Racy like the per-slot accessors; the
+    caller validates. *)
+
 val set_entry : 'v border -> int -> hi:int -> lo:int -> klen:int -> h:int -> unit
 (** Write a slot's whole key payload: two word stores. *)
 

@@ -198,6 +198,12 @@ let get t idx =
   in
   Bigarray.Array1.unsafe_get slab (idx land slab_mask)
 
+(* A cell's words never straddle slabs (cells are aligned within them),
+   so a reader of a whole cell fetches its slab once. *)
+let cell_slab t idx = Array.unsafe_get t.cell_slabs ((idx lsr slab_shift) land slab_dir_mask)
+
+let slab_offset idx = idx land slab_mask
+
 let set t idx v =
   let slab =
     Array.unsafe_get t.cell_slabs ((idx lsr slab_shift) land slab_dir_mask)

@@ -56,6 +56,15 @@ val free_cell : t -> int -> unit
 val get : t -> int -> int
 (** [get t idx] reads one word.  Race-safe: any index stays in bounds. *)
 
+val cell_slab :
+  t -> int -> (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** [cell_slab t idx] is the slab holding word [idx], for a reader that
+    takes several words of one cell: every word of a cell sits in the
+    slab of its first word, at {!slab_offset} of its index.  Race-safe
+    like {!get}. *)
+
+val slab_offset : int -> int
+
 val set : t -> int -> int -> unit
 (** [set t idx v] writes one word (caller holds the owning node's lock). *)
 

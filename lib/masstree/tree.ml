@@ -62,7 +62,51 @@ type 'v t = {
   handle_key : 'v handle_state Domain.DLS.key;
 }
 
-and 'v handle_state = { eh : Epoch.handle; mutable ops_since_tick : int }
+(* [spare] is this domain's idle scan state (see [scan_buf] below),
+   reused by its next scan. *)
+and 'v handle_state = {
+  eh : Epoch.handle;
+  mutable ops_since_tick : int;
+  mutable spare : 'v scan_buf option;
+}
+
+(* A border cursor: the live entries of one border node in key order,
+   copied into flat arrays by [cursor_fill] and validated against one
+   stable version.  A scan keeps one cursor per trie depth and refills it
+   node after node, so walking a layer allocates nothing per entry.
+   Suffix handles are copied, not their bytes: a key's bytes are written
+   only when it is emitted, ties the bound on its slice, or bounds the
+   next node, and they are read from its suffix blob then, after
+   validation.  That read is safe because the scan runs under
+   [Epoch.pin]: a blob is immutable from allocation until its
+   epoch-deferred free, and a handle that validated was owned by its slot
+   while this scan was pinned, so its free waits for the unpin
+   (docs/CONCURRENCY.md). *)
+and 'v cursor = {
+  chi : int array;
+  clo : int array;
+  cklen : int array;
+  csuf : int array;
+  clv : 'v link_or_value array;
+  mutable cn : int; (* live entries *)
+  mutable cnext : 'v border option;
+}
+
+(* One scan's reusable state.  [kbuf] holds the key being built: the
+   8-byte slices of the enclosing layers, then the current entry's bytes,
+   so a key handed to the callback is borrowed — valid until the callback
+   returns.  [bnd] holds the bound, layer by layer at the same offsets (a
+   forward scan overwrites its layer's part with each hop's bound).
+   [last] holds the last emitted key, from which a restarted scan resumes;
+   [last_len] is -1 before the first emission.  [cursors.(d)] serves trie
+   depth [d]. *)
+and 'v scan_buf = {
+  mutable kbuf : Bytes.t;
+  mutable bnd : Bytes.t;
+  mutable last : Bytes.t;
+  mutable last_len : int;
+  mutable cursors : 'v cursor array;
+}
 
 let create () =
   let emgr = Epoch.manager () in
@@ -73,7 +117,8 @@ let create () =
     tstats = Stats.create ();
     emgr;
     handle_key =
-      Domain.DLS.new_key (fun () -> { eh = Epoch.register emgr; ops_since_tick = 0 });
+      Domain.DLS.new_key (fun () ->
+          { eh = Epoch.register emgr; ops_since_tick = 0; spare = None });
   }
 
 let stats t = t.tstats
@@ -1434,27 +1479,6 @@ let update t key f =
 
 exception Scan_done
 
-(* A border cursor: the live entries of one border node in key order,
-   copied into flat arrays by [cursor_fill] and validated against one
-   stable version.  A scan keeps one cursor per trie layer it is walking
-   and refills it node after node, so walking a layer allocates nothing
-   per entry.  Suffix handles are copied, not their bytes: a key is built
-   only when it is emitted or ties the bound on its slice, and it reads
-   its suffix blob then, after validation.  That read is safe because
-   the scan runs under [Epoch.pin]: a blob is immutable from allocation
-   until its epoch-deferred free, and a handle that validated was owned
-   by its slot while this scan was pinned, so its free waits for the
-   unpin (docs/CONCURRENCY.md). *)
-type 'v cursor = {
-  chi : int array;
-  clo : int array;
-  cklen : int array;
-  csuf : int array;
-  clv : 'v link_or_value array;
-  mutable cn : int; (* live entries *)
-  mutable cnext : 'v border option;
-}
-
 let new_cursor () =
   {
     chi = Array.make width 0;
@@ -1487,14 +1511,7 @@ let rec cursor_fill t c b ~expect =
   else begin
     let perm = border_perm b in
     let n = Permutation.size perm in
-    for i = 0 to n - 1 do
-      let slot = Permutation.get perm i in
-      c.chi.(i) <- slice_hi b slot;
-      c.clo.(i) <- slice_lo b slot;
-      c.cklen.(i) <- keylen b slot;
-      c.csuf.(i) <- suffix_handle b slot;
-      c.clv.(i) <- b.blv.(slot)
-    done;
+    copy_entries b perm n ~hi:c.chi ~lo:c.clo ~klen:c.cklen ~suf:c.csuf ~lv:c.clv;
     c.cn <- n;
     c.cnext <- b.bnext;
     (* Scan's validation window: a whole node copied out, not yet
@@ -1513,155 +1530,292 @@ let rec cursor_fill t c b ~expect =
     else true
   end
 
-(* The key entry [i] stands for, after [prefix] (the bytes consumed by
-   enclosing layers), built in one allocation.  A layer entry stands for
-   its 8 slice bytes: any suffix left in its slot is stale data from
-   before the layer was created. *)
-let cursor_key t c i prefix =
+(* ---- the scan state's buffers ---- *)
+
+let new_scan_buf () =
+  {
+    kbuf = Bytes.create 64;
+    bnd = Bytes.create 64;
+    last = Bytes.create 64;
+    last_len = -1;
+    cursors = [| new_cursor () |];
+  }
+
+(* [b] grown to hold [n] bytes, its contents kept. *)
+let grown b n =
+  if n <= Bytes.length b then b
+  else begin
+    let nb = Bytes.create (Int.max n (2 * Bytes.length b)) in
+    Bytes.blit b 0 nb 0 (Bytes.length b);
+    nb
+  end
+
+let cursor_at sb depth =
+  if depth >= Array.length sb.cursors then
+    sb.cursors <-
+      Array.init (depth + 1) (fun d ->
+          if d < Array.length sb.cursors then sb.cursors.(d) else new_cursor ());
+  sb.cursors.(depth)
+
+(* The bytes entry [i] stands for within its layer: its slice bytes, then
+   its suffix.  A layer entry stands for its 8 slice bytes: any suffix
+   left in its slot is stale data from before the layer was created. *)
+let entry_len t c i =
   let klen = c.cklen.(i) in
-  let slen = Int.min klen 8 in
-  let h = match c.clv.(i) with Value _ when klen > 8 -> c.csuf.(i) | _ -> 0 in
-  let plen = String.length prefix in
-  let k = Bytes.create (plen + slen + if h = 0 then 0 else Pool.blob_len t.pool h) in
-  Bytes.blit_string prefix 0 k 0 plen;
-  let hi = c.chi.(i) and lo = c.clo.(i) in
+  match c.clv.(i) with
+  | Value _ when klen > 8 -> 8 + Pool.blob_len t.pool c.csuf.(i)
+  | _ -> Int.min klen 8
+
+let write_slice dst pos hi lo slen =
   for j = 0 to slen - 1 do
     let half = if j < 4 then hi else lo in
-    Bytes.unsafe_set k (plen + j)
+    Bytes.unsafe_set dst (pos + j)
       (Char.unsafe_chr ((half lsr (8 * (3 - (j land 3)))) land 0xFF))
-  done;
-  if h <> 0 then Pool.blob_blit t.pool h k (plen + 8);
-  Bytes.unsafe_to_string k
+  done
 
-(* Lexicographic order of [k]'s bytes from [off] against [s]. *)
-let rec compare_from k off s i =
-  let lk = String.length k - off and ls = String.length s in
-  if i = lk || i = ls then Int.compare lk ls
+(* Write entry [i]'s bytes into [dst] at [pos]; [dst] holds
+   [pos + entry_len t c i] bytes. *)
+let write_entry t c i dst pos =
+  let klen = c.cklen.(i) in
+  write_slice dst pos c.chi.(i) c.clo.(i) (Int.min klen 8);
+  match c.clv.(i) with
+  | Value _ when klen > 8 -> Pool.blob_blit t.pool c.csuf.(i) dst (pos + 8)
+  | _ -> ()
+
+(* Build entry [i]'s key in [sb.kbuf] after the [plen] bytes of the
+   enclosing layers' slices; returns the key's length. *)
+let put_key t sb c i plen =
+  let kend = plen + entry_len t c i in
+  if kend > Bytes.length sb.kbuf then sb.kbuf <- grown sb.kbuf kend;
+  write_entry t c i sb.kbuf plen;
+  kend
+
+(* Lexicographic order of [a.[ao .. ae)] against [b.[bo .. be)]. *)
+let rec compare_sub a ao ae b bo be =
+  if ao = ae || bo = be then Int.compare (ae - ao) (be - bo)
   else
-    let c = Char.compare (String.unsafe_get k (off + i)) (String.unsafe_get s i) in
-    if c <> 0 then c else compare_from k off s (i + 1)
+    let c = Char.compare (Bytes.unsafe_get a ao) (Bytes.unsafe_get b bo) in
+    if c <> 0 then c else compare_sub a (ao + 1) ae b (bo + 1) be
 
-(* Forward scan of one trie layer.  [prefix] is the key bytes consumed by
-   enclosing layers; [lower]/[strict] bound the within-layer fragment.
-   Entries order against the bound by slice; only a slice tie compares
-   bytes.  Emission raises Scan_done to stop everywhere. *)
-let rec scan_layer t root_ref prefix lower strict emit =
-  let c = new_cursor () in
-  let plen = String.length prefix in
-  let rec run lower strict =
+(* Half [h] (0 = hi, 1 = lo) of the slice of [b.[off .. stop)], zero
+   padded: {!Key.slice_hi} over a buffer fragment. *)
+let frag_half b off stop h =
+  let v = ref 0 in
+  for j = 0 to 3 do
+    let p = off + (4 * h) + j in
+    if p < stop then v := !v lor (Char.code (Bytes.unsafe_get b p) lsl (8 * (3 - j)))
+  done;
+  !v
+
+(* Touch every value of a filled cursor before the walk reads any:
+   the caller's [touch] loads what it will read of each value, and with
+   no work between them the loads' misses overlap instead of landing one
+   per emitted key.  Values are immutable OCaml data, so a touch before
+   the walk's bound checks is only a read. *)
+let touch_values c touch =
+  match touch with
+  | None -> ()
+  | Some touch ->
+      for i = 0 to c.cn - 1 do
+        match c.clv.(i) with Value v -> touch v | Layer _ | Empty -> ()
+      done
+
+(* The domain's idle scan state, or a fresh one when a scan is already
+   running on this domain (a callback that scans the same tree). *)
+let take_scan_buf h =
+  match h.spare with
+  | Some sb ->
+      h.spare <- None;
+      sb
+  | None -> new_scan_buf ()
+
+(* ---- forward ---- *)
+
+(* Forward scan of the trie layer at [depth]: its key bytes start at
+   [plen = 8 * depth] in [sb.kbuf] (the enclosing layers' slices fill
+   [0, plen)), and its bound is [sb.bnd.[plen .. blen)] ([blen <= plen]:
+   no bound), strict or not.  Entries order against the bound by slice;
+   only a slice tie compares bytes.  [emit klen v] hands out the key
+   [sb.kbuf.[0 .. klen)]; it raises Scan_done to stop everywhere.
+
+   Inner layers overwrite [kbuf] and [bnd] past [plen + 8], which this
+   layer never reads again once it has descended: the layer entry is the
+   last of its slice, so every later entry of the node is above the
+   bound, and the hop after the node rewrites this layer's bound. *)
+let rec scan_layer t sb root_ref depth blen strict touch emit =
+  let c = cursor_at sb depth in
+  let plen = 8 * depth in
+  let blen = ref (Int.max blen plen) and strict = ref strict in
+  let rec run () =
     let b, v =
-      find_border t root_ref ~hi:(Key.slice_hi lower ~off:0)
-        ~lo:(Key.slice_lo lower ~off:0)
+      find_border t root_ref ~hi:(frag_half sb.bnd plen !blen 0)
+        ~lo:(frag_half sb.bnd plen !blen 1)
     in
     (* A collapsed layer's root stays deleted (and isroot) forever:
        re-descending within this layer would loop, so escape to the
        layer-0 retry, which resumes past the collapsed subtree. *)
     if Version.deleted v then raise Restart;
-    walk b lower strict
-  and walk b lower strict =
+    walk b
+  and walk b =
     if not (cursor_fill t c b ~expect:no_expect) then
       (* Node deleted under us: re-descend from the current bound. *)
-      run lower strict
+      run ()
     else begin
-      let lhi = Key.slice_hi lower ~off:0 and llo = Key.slice_lo lower ~off:0 in
+      touch_values c touch;
+      let lhi = frag_half sb.bnd plen !blen 0 and llo = frag_half sb.bnd plen !blen 1 in
+      let flen = !blen - plen in
+      (* Whether the node's last entry was passed: emitted, or its layer
+         walked. *)
+      let passed = ref false in
       for i = 0 to c.cn - 1 do
         let cs = Key.compare_parts c.chi.(i) c.clo.(i) lhi llo in
         match c.clv.(i) with
-        | Layer r when cs = 0 && String.length lower > 8 ->
-            scan_layer t r (cursor_key t c i prefix)
-              (String.sub lower 8 (String.length lower - 8))
-              strict emit
         | Layer r when cs >= 0 ->
-            (* Above the bound, or the bound is a prefix of this slice, so
-               every key in the subtree (slice bytes plus at least one
-               more) exceeds it. *)
-            scan_layer t r (cursor_key t c i prefix) "" false emit
-        | Value v when cs > 0 -> emit (cursor_key t c i prefix) v
-        | Value v when cs = 0 ->
-            let k = cursor_key t c i prefix in
-            let cmp = compare_from k plen lower 0 in
-            if cmp > 0 || (cmp = 0 && not strict) then emit k v
-        | Layer _ | Value _ | Empty -> () (* below the bound *)
+            sb.kbuf <- grown sb.kbuf (plen + 8);
+            write_slice sb.kbuf plen c.chi.(i) c.clo.(i) 8;
+            if cs = 0 && flen > 8 then scan_layer t sb r (depth + 1) !blen !strict touch emit
+            else
+              (* Above the bound, or the bound is a prefix of this slice,
+                 so every key in the subtree (slice bytes plus at least
+                 one more) exceeds it. *)
+              scan_layer t sb r (depth + 1) 0 false touch emit;
+            passed := true
+        | Value v when cs >= 0 ->
+            let kend = put_key t sb c i plen in
+            let cmp = if cs > 0 then 1 else compare_sub sb.kbuf plen kend sb.bnd plen !blen in
+            passed := cmp > 0 || (cmp = 0 && not !strict);
+            if !passed then emit kend v
+        | Layer _ | Value _ | Empty -> passed := false (* below the bound *)
       done;
       match c.cnext with
       | Some nx ->
           (* Keys a split moves right after this fill must not be
              emitted twice: the next node starts strictly after this
-             node's last entry. *)
-          if c.cn > 0 then walk nx (cursor_key t c (c.cn - 1) "") true
-          else walk nx lower strict
+             node's last entry, if that entry was passed.  One below the
+             bound leaves the bound alone, so it never moves back (the
+             next node may be a split sibling holding keys this scan
+             already emitted). *)
+          if !passed then begin
+            let last = c.cn - 1 in
+            blen := plen + entry_len t c last;
+            sb.bnd <- grown sb.bnd !blen;
+            write_entry t c last sb.bnd plen;
+            strict := true
+          end;
+          walk nx
       | None -> ()
     end
   in
-  run lower strict
+  run ()
 
-let scan t ?(start = "") ?stop ~limit f =
+let compare_to_string b len s =
+  compare_sub b 0 len (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* The scan driver shared by both directions: pin, take the domain's scan
+   state and run [layer] from the root, bounded by [start], until it
+   completes.  A Restart (deleted node, collapsed layer) re-runs it from
+   the last emitted key, strictly after it, or from [start] again when
+   nothing was emitted yet. *)
+let run_scan t ~start ~limit layer f =
   Stats.incr t.tstats Stats.Scans;
   if limit <= 0 then 0
-  else
-    pinned t (fun () ->
-        let count = ref 0 in
-        (* Restart (deleted node / collapsed layer) resumes strictly after
-           the last emitted key so nothing is emitted twice. *)
-        let resume = ref start and strict = ref false in
-        let emit k v =
-          (match stop with
-          | Some s when String.compare k s >= 0 -> raise Scan_done
-          | _ -> ());
-          f k v;
-          resume := k;
-          strict := true;
-          incr count;
-          if !count >= limit then raise Scan_done
-        in
-        let rec attempt () =
-          try scan_layer t t.root "" !resume !strict emit
-          with Restart ->
-            Stats.incr t.tstats Stats.Root_retries;
-            Schedpoint.spin sp_restart_spin;
-            attempt ()
-        in
-        (try attempt () with Scan_done -> ());
-        !count)
+  else begin
+    let h = handle t in
+    let sb = take_scan_buf h in
+    sb.last_len <- -1;
+    let count = ref 0 in
+    let emit klen v =
+      f sb.kbuf klen v;
+      if klen > Bytes.length sb.last then sb.last <- grown sb.last klen;
+      Bytes.blit sb.kbuf 0 sb.last 0 klen;
+      sb.last_len <- klen;
+      incr count;
+      if !count >= limit then raise Scan_done
+    in
+    let rec attempt () =
+      let blen, strict =
+        if sb.last_len >= 0 then begin
+          sb.bnd <- grown sb.bnd sb.last_len;
+          Bytes.blit sb.last 0 sb.bnd 0 sb.last_len;
+          (sb.last_len, true)
+        end
+        else
+          match start with
+          | None -> (-1, false)
+          | Some s ->
+              let n = String.length s in
+              sb.bnd <- grown sb.bnd n;
+              Bytes.blit_string s 0 sb.bnd 0 n;
+              (n, false)
+      in
+      match layer sb blen strict emit with
+      | () -> ()
+      | exception Restart ->
+          Stats.incr t.tstats Stats.Root_retries;
+          Schedpoint.spin sp_restart_spin;
+          attempt ()
+    in
+    match Epoch.pin h.eh (fun () -> try attempt () with Scan_done -> ()) with
+    | () ->
+        h.spare <- Some sb;
+        finish_op h;
+        !count
+    | exception e ->
+        h.spare <- Some sb;
+        raise e
+  end
+
+let scan_borrowed t ?start ?stop ?touch ~limit f =
+  let f =
+    match stop with
+    | None -> f
+    | Some s ->
+        fun b len v -> if compare_to_string b len s >= 0 then raise Scan_done else f b len v
+  in
+  run_scan t ~start ~limit
+    (fun sb blen strict emit -> scan_layer t sb t.root 0 blen strict touch emit)
+    f
+
+let scan t ?start ?stop ~limit f =
+  scan_borrowed t ?start ?stop ~limit (fun b len v -> f (Bytes.sub_string b 0 len) v)
+
+(* ---- reverse ---- *)
 
 (* Reverse scan: rather than chasing prev pointers (whose protection is
    awkward for lock-free readers), each step re-descends to the border
    containing the largest slice below the previous node's lowkey.  One
-   O(depth) descent per node visited. *)
-let rec scan_rev_layer t root_ref prefix upper emit =
-  (* [upper = None] means unbounded above within this layer. *)
+   O(depth) descent per node visited.  The layer at [depth] reads its
+   bound from [sb.bnd.[8 * depth .. blen)], inclusive; [blen < 0] means
+   unbounded above.  Nothing writes [bnd] during a pass. *)
+let rec scan_rev_layer t sb root_ref depth blen touch emit =
   let max_half = 0xFFFFFFFF in
-  let c = new_cursor () in
-  let plen = String.length prefix in
+  let c = cursor_at sb depth in
+  let plen = 8 * depth in
+  let bounded = blen >= 0 in
+  let blen = if bounded then Int.max blen plen else blen in
   let uhi, ulo =
-    match upper with
-    | None -> (max_half, max_half)
-    | Some u -> (Key.slice_hi u ~off:0, Key.slice_lo u ~off:0)
+    if bounded then (frag_half sb.bnd plen blen 0, frag_half sb.bnd plen blen 1)
+    else (max_half, max_half)
   in
-  let rec run bhi blo upper =
+  let rec run bhi blo bounded =
     let b, v = find_border t root_ref ~hi:bhi ~lo:blo in
     if Version.deleted v then raise Restart;
     (* [expect:v] pins the fill to the version the descent validated: a
        split between descent and fill re-descends instead of returning a
        node that no longer covers the bound. *)
-    if not (cursor_fill t c b ~expect:v) then run bhi blo upper
+    if not (cursor_fill t c b ~expect:v) then run bhi blo bounded
     else begin
+      touch_values c touch;
       for i = c.cn - 1 downto 0 do
-        let cs =
-          match upper with
-          | None -> -1
-          | Some _ -> Key.compare_parts c.chi.(i) c.clo.(i) uhi ulo
-        in
-        match (c.clv.(i), upper) with
-        | Layer r, _ when cs < 0 -> scan_rev_layer t r (cursor_key t c i prefix) None emit
-        | Layer r, Some u when cs = 0 && String.length u > 8 ->
-            scan_rev_layer t r (cursor_key t c i prefix)
-              (Some (String.sub u 8 (String.length u - 8)))
-              emit
-        | Value v, _ when cs < 0 -> emit (cursor_key t c i prefix) v
-        | Value v, Some u when cs = 0 ->
-            let k = cursor_key t c i prefix in
-            if compare_from k plen u 0 <= 0 then emit k v
+        let cs = if bounded then Key.compare_parts c.chi.(i) c.clo.(i) uhi ulo else -1 in
+        match c.clv.(i) with
+        | Layer r when cs < 0 || (cs = 0 && blen - plen > 8) ->
+            sb.kbuf <- grown sb.kbuf (plen + 8);
+            write_slice sb.kbuf plen c.chi.(i) c.clo.(i) 8;
+            scan_rev_layer t sb r (depth + 1) (if cs < 0 then -1 else blen) touch emit
+        | Value v when cs <= 0 ->
+            let kend = put_key t sb c i plen in
+            if cs < 0 || compare_sub sb.kbuf plen kend sb.bnd plen blen <= 0 then emit kend v
         | _ ->
             (* Above the bound, or a layer whose keys all extend a bound
                equal to its slice. *)
@@ -1669,46 +1823,29 @@ let rec scan_rev_layer t root_ref prefix upper emit =
       done;
       let lhi = b.blowhi and llo = b.blowlo in
       if lhi > 0 || llo > 0 then
-        if llo > 0 then run lhi (llo - 1) None else run (lhi - 1) max_half None
+        if llo > 0 then run lhi (llo - 1) false else run (lhi - 1) max_half false
     end
   in
-  run uhi ulo upper
+  run uhi ulo bounded
+
+let scan_rev_borrowed t ?start ?stop ?touch ~limit f =
+  (* A restarted pass replays the region it was in: only keys strictly
+     below the last emitted one are new. *)
+  let f b len v =
+    (match stop with
+    | Some s when compare_to_string b len (s : string) < 0 -> raise Scan_done
+    | _ -> ());
+    f b len v
+  in
+  run_scan t ~start ~limit
+    (fun sb blen _strict emit ->
+      scan_rev_layer t sb t.root 0 blen touch (fun klen v ->
+          if sb.last_len < 0 || compare_sub sb.kbuf 0 klen sb.last 0 sb.last_len < 0 then
+            emit klen v))
+    f
 
 let scan_rev t ?start ?stop ~limit f =
-  Stats.incr t.tstats Stats.Scans;
-  if limit <= 0 then 0
-  else
-    pinned t (fun () ->
-        let count = ref 0 in
-        let bound = ref start and strict = ref false in
-        let emit k v =
-          (match stop with
-          | Some s when String.compare k s < 0 -> raise Scan_done
-          | _ -> ());
-          (* Skip duplicates when a Restart replays a partially-scanned
-             region: only keys strictly below the last emitted one count. *)
-          let skip =
-            match !bound with
-            | Some b -> if !strict then String.compare k b >= 0 else String.compare k b > 0
-            | None -> false
-          in
-          if not skip then begin
-            f k v;
-            incr count;
-            bound := Some k;
-            strict := true
-          end;
-          if !count >= limit then raise Scan_done
-        in
-        let rec attempt () =
-          try scan_rev_layer t t.root "" !bound emit
-          with Restart ->
-            Stats.incr t.tstats Stats.Root_retries;
-            Schedpoint.spin sp_restart_spin;
-            attempt ()
-        in
-        (try attempt () with Scan_done -> ());
-        !count)
+  scan_rev_borrowed t ?start ?stop ~limit (fun b len v -> f (Bytes.sub_string b 0 len) v)
 
 let iter t f = ignore (scan t ~limit:max_int f)
 

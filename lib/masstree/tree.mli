@@ -125,22 +125,57 @@ val multi_get : 'v t -> Key.t array -> 'v option array
     flight, so schedsim interleaves writers both between rounds and
     inside a flight's §4.5 read window. *)
 
+val scan_borrowed :
+  'v t ->
+  ?start:Key.t ->
+  ?stop:Key.t ->
+  ?touch:('v -> unit) ->
+  limit:int ->
+  (Bytes.t -> int -> 'v -> unit) ->
+  int
+(** [scan_borrowed t ~start ~stop ~limit f] visits up to [limit]
+    bindings with [start <= key < stop] in ascending key order and
+    returns the count visited.  [f buf len v] gets the key as
+    [buf.[0 .. len)], {e borrowed}: the buffer is the scan's own, valid
+    only until [f] returns, and must not be written.  The key is built in
+    place from the enclosing layers' slices, the entry's slice and its
+    suffix blob, so a scan allocates nothing per key; its buffers and
+    per-depth cursors are reused by the domain's next scan.
+
+    Like the paper's getrange, the scan is {e not} atomic with respect to
+    concurrent inserts and removes: each visited binding was live at some
+    point during the scan, and no key is visited twice — a scan that
+    restarts from the root (a deleted node, a collapsed layer) resumes
+    strictly after the last key it emitted (docs/CONCURRENCY.md §3).
+    Schedule point [tree.snapshot.read] fires after each border is copied
+    into the scan's cursor and before it is validated — the instant a
+    concurrent split or remove can invalidate it.
+
+    [touch v], if given, runs on every value of a border right after the
+    border is copied and validated, before any of them is emitted: it
+    should load what [f] will read of each value, so those cache misses
+    overlap in one tight loop instead of landing one per key. *)
+
+val scan_rev_borrowed :
+  'v t ->
+  ?start:Key.t ->
+  ?stop:Key.t ->
+  ?touch:('v -> unit) ->
+  limit:int ->
+  (Bytes.t -> int -> 'v -> unit) ->
+  int
+(** [scan_rev_borrowed] visits bindings with [stop <= key <= start] in
+    descending order ([start] unset = from the maximum key; [stop] unset
+    = to the minimum), handing out borrowed keys as {!scan_borrowed}
+    does. *)
+
 val scan :
   'v t -> ?start:Key.t -> ?stop:Key.t -> limit:int -> (Key.t -> 'v -> unit) -> int
-(** [scan t ~start ~stop ~limit f] visits up to [limit] bindings with
-    [start <= key < stop] in ascending key order and returns the count
-    visited.  Like the paper's getrange, the scan is {e not} atomic with
-    respect to concurrent inserts and removes: each visited binding was
-    live at some point during the scan.  Schedule point
-    [tree.snapshot.read] fires after each border is copied into the
-    scan's cursor and before it is validated — the instant a concurrent
-    split or remove can invalidate it. *)
+(** {!scan_borrowed} with each key copied into a string. *)
 
 val scan_rev :
   'v t -> ?start:Key.t -> ?stop:Key.t -> limit:int -> (Key.t -> 'v -> unit) -> int
-(** [scan_rev] visits bindings with [stop <= key <= start] in descending
-    order ([start] unset = from the maximum key; [stop] unset = to the
-    minimum). *)
+(** {!scan_rev_borrowed} with each key copied into a string. *)
 
 val iter : 'v t -> (Key.t -> 'v -> unit) -> unit
 (** [iter t f] scans the whole tree in ascending key order. *)

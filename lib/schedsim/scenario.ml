@@ -92,6 +92,10 @@ let scan_rev ?start ?stop ?(limit = max_int) ctx =
 
 let maintain ctx = Tree.maintain ctx.tree
 
+(* Run scheduled maintenance (a layer collapse) without waiting for
+   pinned readers, as another domain's tick does. *)
+let run_tasks ctx = Masstree_core.Epoch.run_tasks (Tree.epoch_manager ctx.tree)
+
 (* Prepare-phase helper: runs with the scheduler disabled, stamped at
    step 0 (the clock was just reset, and scheduled steps start at 1). *)
 let prepop ctx key =
@@ -356,6 +360,35 @@ let scenarios : t list =
               get c (lk "alpha");
               get c (k 1);
               get c (lk "beta") );
+        ];
+    };
+    {
+      name = "layer-collapse-vs-scan";
+      descr = "scans through a two-key layer race the removes that collapse it";
+      (* The [lk] pair is a trie layer of its own between a lower and a
+         higher layer-0 key.  The remover empties it and runs the
+         collapse task while a scan may be pinned mid-way (as another
+         domain's tick would); a scan that reaches the layer after the
+         collapse finds its root deleted, restarts from the root and must
+         resume strictly after the last key it emitted, rebuilt from the
+         scan's shared key buffer.  The oracle checks every emitted key's
+         bytes (a key never written is a phantom), order and
+         uniqueness. *)
+      prepare =
+        (fun c ->
+          prepop c "AAAAAAAA-low";
+          prepop c (lk "alpha");
+          prepop c (lk "beta");
+          prepop c (k 1));
+      tasks =
+        [
+          ( "remover",
+            fun c ->
+              remove c (lk "alpha");
+              remove c (lk "beta");
+              run_tasks c;
+              maintain c );
+          ("scanner", fun c -> scan c; scan_rev c; scan ~start:(lk "beta") c);
         ];
     };
     {

@@ -391,21 +391,28 @@ let merged_scan t ~limit ~collect ~cmp f =
   else begin
     let nshards = Array.length t.stores in
     let chunk = min limit scan_chunk in
-    let bufs = Array.make nshards [||] in
-    let idx = Array.make nshards 0 in
+    (* Shard [s]'s buffered chunk: [keys.(s)] and [vals.(s)] up to
+       [len.(s)], consumed from [idx.(s)]. *)
+    let keys = Array.make nshards [||] and vals = Array.make nshards [||] in
+    let len = Array.make nshards 0 and idx = Array.make nshards 0 in
     let more = Array.make nshards true (* shard may hold keys beyond its buffer *) in
     let fetch s ~resume =
       (* one extra slot on refills: the inclusive resume key comes back
          first and is dropped, netting [chunk] fresh pairs *)
       let want = match resume with None -> chunk | Some _ -> chunk + 1 in
-      let acc = ref [] in
-      let got = ref 0 in
+      let ks = Array.make want "" and vs = Array.make want [||] in
+      let n = ref 0 and got = ref 0 in
       collect s ~resume ~limit:want (fun k v ->
           incr got;
           match resume with
           | Some last when cmp k last <= 0 -> ()
-          | _ -> acc := (k, v) :: !acc);
-      bufs.(s) <- Array.of_list (List.rev !acc);
+          | _ ->
+              ks.(!n) <- k;
+              vs.(!n) <- v;
+              incr n);
+      keys.(s) <- ks;
+      vals.(s) <- vs;
+      len.(s) <- !n;
       idx.(s) <- 0;
       more.(s) <- !got >= want
     in
@@ -415,10 +422,10 @@ let merged_scan t ~limit ~collect ~cmp f =
     let refill s =
       (* refill (at most once per call) until the shard yields a key or
          proves empty; resume from the last key this shard yielded *)
-      while idx.(s) >= Array.length bufs.(s) && more.(s) do
-        let n = Array.length bufs.(s) in
+      while idx.(s) >= len.(s) && more.(s) do
+        let n = len.(s) in
         if n = 0 then more.(s) <- false (* a full-but-all-duplicate chunk can't happen *)
-        else fetch s ~resume:(Some (fst bufs.(s).(n - 1)))
+        else fetch s ~resume:(Some keys.(s).(n - 1))
       done
     in
     let emitted = ref 0 in
@@ -427,17 +434,17 @@ let merged_scan t ~limit ~collect ~cmp f =
       let best = ref (-1) in
       for s = 0 to nshards - 1 do
         refill s;
-        if idx.(s) < Array.length bufs.(s) then
+        if idx.(s) < len.(s) then
           match !best with
           | -1 -> best := s
-          | b -> if cmp (fst bufs.(s).(idx.(s))) (fst bufs.(b).(idx.(b))) < 0 then best := s
+          | b -> if cmp keys.(s).(idx.(s)) keys.(b).(idx.(b)) < 0 then best := s
       done;
       match !best with
       | -1 -> continue := false
       | s ->
-          let k, v = bufs.(s).(idx.(s)) in
-          idx.(s) <- idx.(s) + 1;
-          f k v;
+          let i = idx.(s) in
+          idx.(s) <- i + 1;
+          f keys.(s).(i) vals.(s).(i);
           incr emitted
     done;
     !emitted

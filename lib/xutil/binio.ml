@@ -10,17 +10,17 @@ let contents w = Bytes.sub_string w.buf 0 w.len
 
 let reset w = w.len <- 0
 
-let ensure w extra =
-  let needed = w.len + extra in
-  if needed > Bytes.length w.buf then begin
-    let cap = ref (Bytes.length w.buf * 2) in
-    while !cap < needed do
-      cap := !cap * 2
-    done;
-    let nb = Bytes.create !cap in
-    Bytes.blit w.buf 0 nb 0 w.len;
-    w.buf <- nb
-  end
+let grow w needed =
+  let cap = ref (Bytes.length w.buf * 2) in
+  while !cap < needed do
+    cap := !cap * 2
+  done;
+  let nb = Bytes.create !cap in
+  Bytes.blit w.buf 0 nb 0 w.len;
+  w.buf <- nb
+
+(* Small enough to inline: the growth path is out of line. *)
+let ensure w extra = if w.len + extra > Bytes.length w.buf then grow w (w.len + extra)
 
 let write_u8 w v =
   ensure w 1;
@@ -44,12 +44,15 @@ let write_u64 w v =
 
 let write_varint w n =
   assert (n >= 0);
-  let n = ref n in
-  while !n >= 0x80 do
-    write_u8 w (!n land 0x7f lor 0x80);
-    n := !n lsr 7
-  done;
-  write_u8 w !n
+  if n < 0x80 then write_u8 w n
+  else begin
+    let n = ref n in
+    while !n >= 0x80 do
+      write_u8 w (!n land 0x7f lor 0x80);
+      n := !n lsr 7
+    done;
+    write_u8 w !n
+  end
 
 let write_raw w s =
   let n = String.length s in
@@ -60,6 +63,40 @@ let write_raw w s =
 let write_string w s =
   write_varint w (String.length s);
   write_raw w s
+
+let write_sub w s pos n =
+  ensure w n;
+  Bytes.blit_string s pos w.buf w.len n;
+  w.len <- w.len + n
+
+let write_bytes w b pos n =
+  ensure w n;
+  Bytes.blit b pos w.buf w.len n;
+  w.len <- w.len + n
+
+let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+
+let reserve w n =
+  ensure w n;
+  let at = w.len in
+  w.len <- w.len + n;
+  at
+
+(* Every byte but the last carries the continuation bit, so the padding
+   bytes of a short value read as zero-valued groups. *)
+let patch_varint w ~pos ~width n =
+  assert (n >= 0 && width >= varint_size n && pos >= 0 && pos + width <= w.len);
+  let n = ref n in
+  for i = 0 to width - 1 do
+    let b = !n land 0x7f in
+    n := !n lsr 7;
+    Bytes.unsafe_set w.buf (pos + i)
+      (Char.unsafe_chr (if i < width - 1 then b lor 0x80 else b))
+  done
+
+let truncate w n =
+  assert (n >= 0 && n <= w.len);
+  w.len <- n
 
 let blit_to_bytes w dst pos = Bytes.blit w.buf 0 dst pos w.len
 

@@ -31,6 +31,30 @@ val write_string : writer -> string -> unit
 val write_raw : writer -> string -> unit
 (** [write_raw w s] writes the bytes of [s] with no length prefix. *)
 
+val write_sub : writer -> string -> int -> int -> unit
+(** [write_sub w s pos n] writes [s]'s bytes [pos .. pos+n) with no
+    length prefix. *)
+
+val write_bytes : writer -> Bytes.t -> int -> int -> unit
+(** [write_bytes w b pos n]: {!write_sub} from a [Bytes.t]. *)
+
+val varint_size : int -> int
+(** Bytes {!write_varint} takes for a non-negative int. *)
+
+val reserve : writer -> int -> int
+(** [reserve w n] appends [n] unspecified bytes and returns their
+    position, for a later {!patch_varint} or {!patch_u32}. *)
+
+val patch_varint : writer -> pos:int -> width:int -> int -> unit
+(** [patch_varint w ~pos ~width n] overwrites the [width] reserved bytes
+    at [pos] with [n] as a LEB128 varint padded to exactly [width] bytes
+    ([width >= varint_size n], at most 9): a count back-patched once it
+    is known.  {!read_varint} reads it as [n]. *)
+
+val truncate : writer -> int -> unit
+(** [truncate w n] drops every byte written after the first [n]: rewinds
+    a half-written reply. *)
+
 val blit_to_bytes : writer -> Bytes.t -> int -> unit
 (** [blit_to_bytes w dst pos] copies the accumulated bytes into [dst]. *)
 

@@ -303,6 +303,12 @@ let () =
             (run_scenario ~budget:300 ~seeds:6 "remove-vs-scan-suffix");
           Alcotest.test_case "multi_get vs insert burst" `Quick
             (run_scenario ~budget:300 ~seeds:6 "multiget-vs-insert-burst");
+          (* A collapse lands between a scan's validated layer-0 read and
+             its descent into the layer only on some schedules; these
+             seeds include one (resuming a restart from [start] instead
+             of the last emitted key re-emits a key there). *)
+          Alcotest.test_case "scan vs layer collapse" `Quick
+            (run_scenario ~budget:300 ~seeds:32 "layer-collapse-vs-scan");
           Alcotest.test_case "scan_rev split regression" `Quick
             test_scan_rev_split_regression;
         ] );

@@ -58,6 +58,28 @@ let test_tasks_run () =
   check_int "nested task" 3 !ran;
   Epoch.unregister h
 
+(* Maintenance (a layer collapse, a prune pass) retires storage from
+   inside a task; quiesce must free that too before it returns, and a
+   retirement handed off by an unregistered participant must not stay
+   counted as pending. *)
+let test_task_retires_during_quiesce () =
+  let m = Epoch.manager () in
+  let h = Epoch.register m in
+  let freed = ref 0 in
+  Epoch.schedule m (fun () ->
+      Epoch.retire h (fun () -> incr freed);
+      Epoch.schedule m (fun () -> Epoch.retire h (fun () -> incr freed)));
+  Epoch.quiesce m;
+  check_int "task retirements freed" 2 !freed;
+  check_int "none pending" 0 (Epoch.pending m);
+  let gone = Epoch.register m in
+  Epoch.retire gone (fun () -> incr freed);
+  Epoch.unregister gone;
+  Epoch.quiesce m;
+  check_int "handed-off retirement freed" 3 !freed;
+  check_int "none pending after hand-off" 0 (Epoch.pending m);
+  Epoch.unregister h
+
 let test_epoch_advances () =
   let m = Epoch.manager () in
   let h = Epoch.register m in
@@ -103,6 +125,7 @@ let suite =
     Alcotest.test_case "pin blocks free" `Quick test_pin_blocks_free;
     Alcotest.test_case "reentrant pin" `Quick test_reentrant_pin;
     Alcotest.test_case "tasks run" `Quick test_tasks_run;
+    Alcotest.test_case "task retires during quiesce" `Quick test_task_retires_during_quiesce;
     Alcotest.test_case "epoch advances" `Quick test_epoch_advances;
     Alcotest.test_case "unregister hands off limbo" `Quick test_unregister_hands_off_limbo;
     Alcotest.test_case "multidomain stress" `Quick test_multidomain_stress;
