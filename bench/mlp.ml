@@ -23,10 +23,21 @@
      300k keys: a fully cached tree has no fetch latency to overlap,
      so the pipeline's bookkeeping would lose by construction; 300k
      outgrows L2, builds in under a second, and gives the smoke gate a
-     signal that actually exercises the mechanism. *)
+     signal that actually exercises the mechanism.
+
+   Two more readouts, both on one pinned core:
+   - the host's own overlap curve ([host_overlap]): k independent
+     pointer chases over a 64 MiB Bigarray, ns per hop for k = 1..32 —
+     the miss overlap any group get on this machine can hope to use;
+   - group-get scaling ([group_scaling]): ns per key of 128-key
+     [Tree.multi_get] batches over MYCSB keys at 2k records (cached)
+     and 100k records, and their ratio — what the pipeline leaves of
+     the out-of-cache penalty. *)
 
 open Bench_util
 module Tree = Masstree_core.Tree
+
+external pin_last_cpu : unit -> int = "bench_pin_last_cpu"
 
 let batch_sizes = [| 1; 4; 8; 16; 32 |]
 let theta = 0.99
@@ -165,6 +176,127 @@ let model_speedup ~model_n ~ops dist b =
   in
   cycles false /. cycles true
 
+(* ---- host overlap probe (1 core) ---- *)
+
+(* Line [i] of the arena holds, in its first word, the word index of its
+   successor on one random cycle through every line (Sattolo's shuffle),
+   so each hop is one dependent load of a fresh line.  [k] chains start
+   at distinct lines of that cycle and move in lockstep, so they never
+   meet; one pass advances each by one hop, and the [k] loads of a pass
+   are independent. *)
+type arena = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let line_words = 8
+let host_bytes = 64 lsl 20
+let host_chains = [| 1; 2; 4; 8; 12; 16; 24; 32 |]
+
+let build_cycle () =
+  let lines = host_bytes / (8 * line_words) in
+  let next = Array.init lines Fun.id in
+  let rng = Xutil.Rng.create 0xC4A5EL in
+  for i = lines - 1 downto 1 do
+    let j = Xutil.Rng.int rng i in
+    let x = next.(i) in
+    next.(i) <- next.(j);
+    next.(j) <- x
+  done;
+  let a : arena = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (lines * line_words) in
+  Bigarray.Array1.fill a 0;
+  Array.iteri (fun i n -> a.{i * line_words} <- n * line_words) next;
+  (a, lines)
+
+let chase (a : arena) pos steps =
+  let k = Array.length pos in
+  for _ = 1 to steps do
+    for j = 0 to k - 1 do
+      Array.unsafe_set pos j (Bigarray.Array1.unsafe_get a (Array.unsafe_get pos j))
+    done
+  done
+
+(* ns per hop with [k] chains: the median of [reps] timed runs of
+   [hops] hops in all. *)
+let chase_ns a lines k ~hops ~reps =
+  let steps = max 1 (hops / k) in
+  let times =
+    Array.init reps (fun r ->
+        let pos = Array.init k (fun j -> ((j * (lines / k)) + r) * line_words) in
+        let t0 = Xutil.Clock.now_ns () in
+        chase a pos steps;
+        let dt = Xutil.Clock.elapsed_s t0 in
+        ignore (Sys.opaque_identity pos);
+        dt *. 1e9 /. float_of_int (steps * k))
+  in
+  median times
+
+let host_overlap ~smoke =
+  subheader
+    (Printf.sprintf "host overlap: k independent pointer chases over %d MiB"
+       (host_bytes lsr 20));
+  let a, lines = build_cycle () in
+  let hops = if smoke then 1 lsl 20 else 1 lsl 22 in
+  chase a [| 0 |] (hops / 4);
+  row "%-6s %12s %10s\n" "chains" "ns/hop" "overlap";
+  let base = ref 0.0 in
+  Array.map
+    (fun k ->
+      let ns = chase_ns a lines k ~hops ~reps:3 in
+      if k = 1 then base := ns;
+      row "%-6d %12.1f %9.1fx\n" k ns (!base /. ns);
+      (k, ns))
+    host_chains
+
+(* ---- group get across tree sizes (1 core) ---- *)
+
+let scaling_batch = 128
+let scaling_records = [| 2_000; 100_000 |]
+
+(* ns per key of [scaling_batch]-key group gets over uniformly drawn
+   MYCSB keys, tree only: the median of [reps] timed passes over
+   [batches] batches, the keys preassembled so only the lookup is
+   timed. *)
+let group_ns_per_key ~records ~batches ~reps =
+  let w = Workload.Ycsb.create ~records Workload.Ycsb.B in
+  let t = Tree.create () in
+  let keys = Array.init records (Workload.Ycsb.key_of_rank w) in
+  Array.iteri (fun i k -> ignore (Tree.put t k i)) keys;
+  let rng = Xutil.Rng.create 0x5CA1EL in
+  let work =
+    Array.init batches (fun _ ->
+        Array.init scaling_batch (fun _ -> keys.(Xutil.Rng.int rng records)))
+  in
+  let sink = ref 0 in
+  let pass () =
+    Array.iter
+      (fun b ->
+        Array.iter (function Some _ -> incr sink | None -> ()) (Tree.multi_get t b))
+      work
+  in
+  pass ();
+  let times =
+    Array.init reps (fun _ ->
+        let t0 = Xutil.Clock.now_ns () in
+        pass ();
+        Xutil.Clock.elapsed_s t0 *. 1e9 /. float_of_int (batches * scaling_batch))
+  in
+  ignore (Sys.opaque_identity !sink);
+  median times
+
+let group_scaling ~smoke =
+  subheader
+    (Printf.sprintf "group get scaling: %d-key Tree.multi_get, MYCSB keys" scaling_batch);
+  let batches = if smoke then 200 else 2000 in
+  let ns =
+    Array.map
+      (fun records ->
+        let v = group_ns_per_key ~records ~batches ~reps:5 in
+        row "%-8d records %10.1f ns/key\n" records v;
+        v)
+      scaling_records
+  in
+  let ratio = ns.(1) /. ns.(0) in
+  row "out-of-cache / cached: %.2fx\n" ratio;
+  (ns, ratio)
+
 (* ---- trend comparison ---- *)
 
 (* The measured curve is noisy where the modeled one is smooth: on the
@@ -199,7 +331,11 @@ let run scale =
   let ops = scale.ops in
   let reps = if smoke then 3 else 5 in
   let mlp_width = Memsim.Model.Config.default.Memsim.Model.Config.mlp_width in
-  row "population=%d ops=%d reps=%d modeled mlp_width=%d\n" n ops reps mlp_width;
+  let cpu = pin_last_cpu () in
+  row "population=%d ops=%d reps=%d modeled mlp_width=%d pinned cpu=%d\n" n ops reps
+    mlp_width cpu;
+  let host = host_overlap ~smoke in
+  let scaling_ns, scaling_ratio = group_scaling ~smoke in
   let all_cells = ref [] in
   List.iter
     (fun dist ->
@@ -271,6 +407,18 @@ let run scale =
            (if i = List.length cells - 1 then "" else ",")))
     cells;
   Buffer.add_string buf "  ],\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  \"host_overlap\": {\"arena_mib\": %d, \"ns_per_hop\": [%s]},\n"
+       (host_bytes lsr 20)
+       (String.concat ", "
+          (Array.to_list
+             (Array.map (fun (k, ns) -> Printf.sprintf "{\"chains\": %d, \"ns\": %.1f}" k ns) host))));
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"group_scaling\": {\"batch\": %d, \"records\": [%d, %d], \"ns_per_key\": \
+        [%.1f, %.1f], \"ratio\": %.2f},\n"
+       scaling_batch scaling_records.(0) scaling_records.(1) scaling_ns.(0) scaling_ns.(1)
+       scaling_ratio);
   Buffer.add_string buf
     (Printf.sprintf "  \"best_speedup_at_batch_ge_8\": %.3f,\n" best_ge8);
   Buffer.add_string buf

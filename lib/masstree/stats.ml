@@ -53,19 +53,40 @@ let all =
     Root_retries; Local_retries; Node_deletes; Layer_collapses; Slot_reuses;
     Leaf_merges; Pipeline_restarts ]
 
-type t = int Atomic.t array
+(* Per-domain counters: each domain bumps its own array with plain
+   stores, so a reader's count writes no shared line (§4.5).  [shards]
+   holds every domain's array — a domain that has exited keeps its
+   counts — and [read] sums them; a sum racing an increment may miss it,
+   as any unsynchronized gauge would. *)
+type t = { key : int array Domain.DLS.key; shards : int array list Atomic.t }
 
-let create () = Array.init n_counters (fun _ -> Atomic.make 0)
+let create () =
+  let shards = Atomic.make [] in
+  let rec register a =
+    let l = Atomic.get shards in
+    if not (Atomic.compare_and_set shards l (a :: l)) then register a
+  in
+  let key =
+    Domain.DLS.new_key (fun () ->
+        let a = Array.make n_counters 0 in
+        register a;
+        a)
+  in
+  { key; shards }
 
-let incr t c = ignore (Atomic.fetch_and_add t.(index c) 1)
+let add t c n =
+  let a = Domain.DLS.get t.key and i = index c in
+  Array.unsafe_set a i (Array.unsafe_get a i + n)
 
-let add t c n = ignore (Atomic.fetch_and_add t.(index c) n)
+let incr t c = add t c 1
 
-let read t c = Atomic.get t.(index c)
+let read t c =
+  let i = index c in
+  List.fold_left (fun acc a -> acc + a.(i)) 0 (Atomic.get t.shards)
 
 let to_list t = List.map (fun c -> (c, read t c)) all
 
-let reset t = Array.iter (fun a -> Atomic.set a 0) t
+let reset t = List.iter (fun a -> Array.fill a 0 n_counters 0) (Atomic.get t.shards)
 
 let pp fmt t =
   List.iter

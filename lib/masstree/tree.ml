@@ -20,12 +20,14 @@ let sp_get_advance = Schedpoint.define "tree.get.advance"
 let sp_snapshot_read = Schedpoint.define "tree.snapshot.read"
 
 (* Pipelined group-get (docs/BATCHING.md): one point per pipeline round,
-   one at each in-pipeline trie-layer descent, and one at each
-   in-pipeline from-the-root restart — the three control transfers the
-   software pipeline adds over the plain read protocol (whose
-   tree.get.read / tree.get.advance / tree.descend.validate windows the
-   pipeline also hits, per flight). *)
+   one between a round's touch pass and its step pass, one at each
+   in-pipeline trie-layer descent, and one at each in-pipeline
+   from-the-root restart — the control transfers the software pipeline
+   adds over the plain read protocol (whose tree.get.read /
+   tree.get.advance / tree.descend.validate windows the pipeline also
+   hits, per flight). *)
 let sp_pipeline_round = Schedpoint.define "tree.pipeline.round"
+let sp_pipeline_touched = Schedpoint.define "tree.pipeline.touched"
 let sp_pipeline_layer = Schedpoint.define "tree.pipeline.layer"
 let sp_pipeline_restart = Schedpoint.define "tree.pipeline.restart"
 let sp_put_slot_written = Schedpoint.define "tree.put.slot_written"
@@ -56,6 +58,7 @@ let merge_max = width - 2
 
 type 'v t = {
   root : 'v node ref; (* layer-0 root hint; refreshed lazily after splits *)
+  nil : 'v node; (* "no node" for every link of this tree *)
   pool : Pool.t; (* off-heap arena for border payloads *)
   tstats : Stats.t;
   emgr : Epoch.manager;
@@ -89,7 +92,7 @@ and 'v cursor = {
   csuf : int array;
   clv : 'v link_or_value array;
   mutable cn : int; (* live entries *)
-  mutable cnext : 'v border option;
+  mutable cnext : 'v node; (* the border's next; nil at the layer's end *)
 }
 
 (* One scan's reusable state.  [kbuf] holds the key being built: the
@@ -111,8 +114,10 @@ and 'v scan_buf = {
 let create () =
   let emgr = Epoch.manager () in
   let pool = Pool.create () in
+  let nil = create_nil pool in
   {
-    root = ref (Border (new_border ~pool ~isroot:true ~locked:false ~lowhi:0 ~lowlo:0));
+    root = ref (new_border nil ~isroot:true ~locked:false ~lowhi:0 ~lowlo:0);
+    nil;
     pool;
     tstats = Stats.create ();
     emgr;
@@ -161,17 +166,17 @@ let maintain t = Epoch.quiesce t.emgr
    environments — the point of the pooled layout is lost if every probe
    rebuilds a capture of (t, key, hi, lo) on the minor heap. *)
 
-let rec stable_climb root_ref n fuel =
-  let v = Version.stable (version_of n) in
+let rec stable_climb t root_ref n fuel =
+  let v = Version.stable (version n) in
   if Version.is_root v then n
   else
-    match parent_of n with
-    | Some p -> stable_climb root_ref (Interior p) fuel
-    | None ->
-        (* Transient: the node lost isroot but its new parent is not yet
-           visible, or the hint points at a detached node.  Re-read the
-           hint; give up to the caller's retry logic if this persists. *)
-        if fuel = 0 then raise Restart else stable_climb root_ref !root_ref (fuel - 1)
+    let p = n.parent in
+    if p != t.nil then stable_climb t root_ref p fuel
+      (* Transient: the node lost isroot but its new parent is not yet
+         visible, or the hint points at a detached node.  Re-read the
+         hint; give up to the caller's retry logic if this persists. *)
+    else if fuel = 0 then raise Restart
+    else stable_climb t root_ref !root_ref (fuel - 1)
 
 (* The descent's baseline version must be the same read that confirmed the
    isroot bit: re-reading after the climb opens a window where the node
@@ -180,10 +185,10 @@ let rec stable_climb root_ref n fuel =
    right (schedsim: split-vs-get catches exactly this).  So every caller
    re-checks isroot on the version it will descend with, and re-climbs if
    the bit was lost in between. *)
-let rec stable_root root_ref =
-  let n = stable_climb root_ref !root_ref 16 in
-  let v = Version.stable (version_of n) in
-  if Version.is_root v then (n, v) else stable_root root_ref
+let rec stable_root t root_ref =
+  let n = stable_climb t root_ref !root_ref 16 in
+  let v = Version.stable (version n) in
+  if Version.is_root v then (n, v) else stable_root t root_ref
 
 (* Interior routing: child index = #keys <= (hi, lo), by linear search as
    in the paper.  Slices compare as immediate int pairs. *)
@@ -192,7 +197,12 @@ let rec child_scan i nk j ~hi ~lo =
     child_scan i nk (j + 1) ~hi ~lo
   else j
 
-let child_index i ~hi ~lo = child_scan i (Int.min i.inkeys width) 0 ~hi ~lo
+let child_index i ~hi ~lo = child_scan i (Int.min i.nkeys width) 0 ~hi ~lo
+
+(* The child an interior routes (hi, lo) to: [nil] on a torn read during
+   a concurrent shape change.  The index is at most [width], inside the
+   [width + 1] slots. *)
+let route i ~hi ~lo = Array.unsafe_get i.child (child_index i ~hi ~lo)
 
 (* Hand-over-hand validation at [n] failed (its version moved from [v]).
    If [n] split or was deleted, responsibility for the key may have moved
@@ -202,7 +212,7 @@ let child_index i ~hi ~lo = child_scan i (Int.min i.inkeys width) 0 ~hi ~lo
    -1 is never one; the immediate result keeps every caller allocation-
    free. *)
 let revalidate t n v =
-  let v' = Version.stable (version_of n) in
+  let v' = Version.stable (version n) in
   if Version.vsplit v' <> Version.vsplit v || Version.deleted v' then begin
     Stats.incr t.tstats Stats.Root_retries;
     -1
@@ -215,12 +225,13 @@ let revalidate t n v =
 (* A reader's border [b] may have split while it looked: responsibility
    for (hi, lo) only ever moves right, so return the right sibling whose
    lowkey covers it, or [b] itself when none does.  One hop per call. *)
-let chase_right b ~hi ~lo =
-  match b.bnext with
-  | Some nx when Key.compare_parts hi lo nx.blowhi nx.blowlo >= 0 ->
-      Schedpoint.hit sp_get_advance;
-      nx
-  | _ -> b
+let chase_right t b ~hi ~lo =
+  let nx = b.next in
+  if nx != t.nil && Key.compare_parts hi lo nx.lowhi nx.lowlo >= 0 then begin
+    Schedpoint.hit sp_get_advance;
+    nx
+  end
+  else b
 
 (* The one descent (Figure 6): every point operation, scans and layer
    collapse reach their border through it.
@@ -233,27 +244,28 @@ let chase_right b ~hi ~lo =
    (schedsim: split-vs-get).  A stale hint only costs the next
    descent one extra parent hop. *)
 let rec fb_from_root t root_ref ~hi ~lo =
-  let n0 = stable_climb root_ref !root_ref 16 in
-  let v0 = Version.stable (version_of n0) in
+  let n0 = stable_climb t root_ref !root_ref 16 in
+  let v0 = Version.stable (version n0) in
   if Version.is_root v0 then fb_descend t root_ref ~hi ~lo n0 v0
   else fb_from_root t root_ref ~hi ~lo
 
 and fb_descend t root_ref ~hi ~lo n v =
-  match n with
-  | Border b -> (b, v)
-  | Interior i -> (
-      match i.ichild.(child_index i ~hi ~lo) with
-      | None ->
-          (* Torn read during a concurrent shape change; revalidate. *)
-          fb_revalidate t root_ref ~hi ~lo n v
-      | Some n' ->
-          let v' = Version.stable (version_of n') in
-          (* Hand-over-hand: the child's version is read, the parent's
-             about to be revalidated. *)
-          Schedpoint.hit sp_descend_validate;
-          if not (Version.changed v (Atomic.get (version_of n))) then
-            fb_descend t root_ref ~hi ~lo n' v'
-          else fb_revalidate t root_ref ~hi ~lo n v)
+  if Version.is_border v then (n, v)
+  else begin
+    let n' = route n ~hi ~lo in
+    if n' == t.nil then
+      (* Torn read during a concurrent shape change; revalidate. *)
+      fb_revalidate t root_ref ~hi ~lo n v
+    else begin
+      let v' = Version.stable (version n') in
+      (* Hand-over-hand: the child's version is read, the parent's
+         about to be revalidated. *)
+      Schedpoint.hit sp_descend_validate;
+      if not (Version.changed v (Atomic.get (version n))) then
+        fb_descend t root_ref ~hi ~lo n' v'
+      else fb_revalidate t root_ref ~hi ~lo n v
+    end
+  end
 
 and fb_revalidate t root_ref ~hi ~lo n v =
   let v' = revalidate t n v in
@@ -322,7 +334,7 @@ and get_forward t key off hi lo rem klen b v =
      suffix comparison reads pool bytes in place, so it too must happen
      before validation: a reused slot's bytes are rejected by the version
      check, never trusted. *)
-  let lv = if hit < 0 then Empty else b.blv.(hit land 0xF) in
+  let lv = if hit < 0 then Empty else b.lv.(hit land 0xF) in
   let suffix_ok =
     match lv with
     | Value _ -> rem <= 8 || suffix_matches b (hit land 0xF) key ~pos:(off + 8)
@@ -332,9 +344,9 @@ and get_forward t key off hi lo rem klen b v =
      revalidated. *)
   Schedpoint.hit sp_get_read;
   (* Validate the snapshot before trusting the extraction. *)
-  if Version.changed v (Atomic.get b.bversion) then begin
+  if Version.changed v (Atomic.get (version b)) then begin
     Stats.incr t.tstats Stats.Local_retries;
-    get_walk t key off hi lo rem klen b (Version.stable b.bversion)
+    get_walk t key off hi lo rem klen b (Version.stable (version b))
   end
   else
     match lv with
@@ -344,8 +356,8 @@ and get_forward t key off hi lo rem klen b v =
 
 and get_walk t key off hi lo rem klen b v =
   if Version.deleted v then raise Restart;
-  let nx = chase_right b ~hi ~lo in
-  if nx != b then get_walk t key off hi lo rem klen nx (Version.stable nx.bversion)
+  let nx = chase_right t b ~hi ~lo in
+  if nx != b then get_walk t key off hi lo rem klen nx (Version.stable (version nx))
   else get_forward t key off hi lo rem klen b v
 
 let rec get_attempt t key =
@@ -377,21 +389,38 @@ let mem t key = Option.is_some (get t key)
 (* The batched form of the descent and border read above.  This state
    machine keeps every lookup inside the pipeline across layer hops,
    split chases and from-the-root restarts, using the same [revalidate]
-   and [chase_right] steps as the sequential path.  Each live
-   lookup advances exactly one node per round: its next node is computed
-   and *staged* one full round before it is read for real, so the cache
-   misses of up to N staged nodes land in adjacent, independent step
-   calls and overlap in the memory system instead of serializing (see
-   the note below on why the staging round — not an explicit prefetch
-   load — is what buys the overlap in OCaml).  lib/memsim models the
-   resulting stall collapse and `bench mlp` measures it. *)
+   and [chase_right] steps as the sequential path.  Each live lookup
+   advances exactly one node per round, and every round runs in two
+   passes over the live flights:
 
-type 'v pstage =
-  | P_root  (* resolve the current layer's root *)
-  | P_advance  (* position validated; compute and prefetch the next node *)
-  | P_child of 'v node  (* prefetched; validate hand-over-hand, then move *)
-  | P_border of 'v border  (* prefetched border: search, then act *)
-  | P_suffix of 'v border  (* slot found, suffix blob prefetched: confirm *)
+   - the touch pass loads, for each flight, every line its next step
+     reads ([Node.touch] of the staged node; for a border hit, the
+     slot's value box and suffix blob) and does nothing else, so the
+     misses of all flights are in flight together;
+   - the step pass then runs each flight's step — hand-over-hand
+     validation, routing, the border search, the §4.5 conclusion —
+     against lines the touch pass already brought in, and stages the
+     node the next round will touch.
+
+   A tight pass of independent loads is what overlaps the misses: a
+   step is a long chain of dependent work, and a miss in it fills the
+   reorder buffer before the next flight's loads issue, while the touch
+   pass issues a few loads per flight and moves on.  The node links are
+   direct and each version word sits in its node record, so the touch
+   of a staged node depends on nothing but the pointer the previous
+   step left.  lib/memsim models the resulting stall collapse and
+   `bench mlp` measures it, beside the host's own overlap curve.
+
+   Stages are immediates and the staged node a field, so no round
+   allocates. *)
+
+let st_root = 0 (* resolve the current layer's root *)
+let st_advance = 1 (* [qnode] validated under [qver]: stage the next node *)
+let st_child = 2 (* [qnext] staged below [qnode]: validate, then move *)
+let st_border = 3 (* [qnext] a border to read under a fresh version *)
+let st_hit = 4 (* slot [qhit] of [qnext] matched under [qver]: conclude *)
+let st_done = 5 (* [qresult] holds the answer *)
+let st_fallback = 6 (* finish on the sequential path *)
 
 type 'v pflight = {
   qkey : Key.t;
@@ -401,40 +430,15 @@ type 'v pflight = {
   mutable qrem : int;
   mutable qklen : int;
   mutable qroot : 'v node ref; (* current layer's root (restart target) *)
-  mutable qnode : 'v node; (* last validated position *)
-  mutable qver : Version.t; (* its stable version *)
-  mutable qstage : 'v pstage;
-  mutable qhit : int; (* search result carried into P_suffix *)
-  mutable qlv : 'v link_or_value; (* extraction carried into P_suffix *)
+  mutable qnode : 'v node; (* last validated interior *)
+  mutable qver : Version.t; (* its stable version, or a border's snapshot *)
+  mutable qstage : int;
+  mutable qnext : 'v node; (* the node the touch pass loads *)
+  mutable qhit : int; (* search result carried into st_hit *)
+  mutable qlv : 'v link_or_value; (* extraction carried into st_hit *)
   mutable qfuel : int; (* restarts allowed before sequential fallback *)
-  mutable qdone : bool;
-  mutable qresult : [ `Pending | `Fallback | `Value of 'v | `Notfound ];
+  mutable qresult : 'v option;
 }
-
-(* How the "prefetch issue" works without a prefetch instruction.
-   Masstree's C implementation issues non-binding [prefetcht0]s for the
-   next node's lines at each descent step (§4.4); OCaml has no such
-   intrinsic, and measurement on this port shows the obvious substitute
-   — an early demand load whose result is ignored — is actively harmful:
-   the dead load still occupies the ROB until its line arrives, in-order
-   retirement stalls behind it, and the speculation window that would
-   have executed the *other* flights' steps shrinks to nothing (version-
-   word-only touches cost ~15% batch throughput at 2M keys; full-node
-   coverage cost ~20%).  What does deliver the overlap is the stage
-   boundary itself: a flight computes its next node in one round and
-   touches it only in the next, so the demand misses of up to N staged
-   nodes sit in adjacent, independent step calls that out-of-order
-   speculation walks right past.  The one explicit early load we keep is
-   the suffix blob touch below — a single line that the *same* flight
-   dereferences next round, so the load is real work issued early, not a
-   dead read. *)
-
-(* Touch a slot's suffix blob (header + leading bytes) ahead of the
-   suffix comparison.  Race-safe like every pool read: a stale handle
-   pulls bounded garbage that version validation will discard. *)
-let prefetch_suffix b slot =
-  let h = suffix_handle b slot in
-  if h <> 0 then ignore (Sys.opaque_identity (Pool.blob_len b.bpool h))
 
 (* Point [f] at the root of the trie layer that starts at byte [off] of
    its key. *)
@@ -445,187 +449,206 @@ let enter_layer f ~off root =
   f.qrem <- String.length f.qkey - off;
   f.qklen <- Int.min f.qrem suffix_len_marker;
   f.qroot <- root;
-  f.qstage <- P_root
+  f.qstage <- st_root
+
+let new_flight t key =
+  let f =
+    { qkey = key; qoff = 0; qhi = 0; qlo = 0; qrem = 0; qklen = 0; qroot = t.root;
+      qnode = t.nil; qver = 0; qstage = st_root; qnext = t.nil; qhit = -1;
+      qlv = Empty; qfuel = 16; qresult = None }
+  in
+  enter_layer f ~off:0 t.root;
+  f
+
+let finish f r =
+  f.qresult <- r;
+  f.qstage <- st_done
+
+(* Re-enter the pipeline at a layer root.  Bounded by per-flight fuel,
+   after which the flight is handed to the sequential path (whose
+   [tree.restart.spin] loop guarantees progress). *)
+let restart_flight t f ~off root =
+  Stats.incr t.tstats Stats.Pipeline_restarts;
+  Schedpoint.hit sp_pipeline_restart;
+  f.qfuel <- f.qfuel - 1;
+  if f.qfuel <= 0 then f.qstage <- st_fallback else enter_layer f ~off root
+
+(* From the layer-0 root: the pipelined equivalent of raising [Restart]
+   into [get_attempt]. *)
+let restart0 t f =
+  Stats.incr t.tstats Stats.Root_retries;
+  restart_flight t f ~off:0 t.root
+
+(* Hand-over-hand validation at [f.qnode] failed: re-enter from the
+   current layer's root when [revalidate] says a split moved
+   responsibility somewhere only the root still reaches (it has counted
+   the root retry), else re-stage from the same node under its fresh
+   version. *)
+let revalidate_flight t f =
+  let v' = revalidate t f.qnode f.qver in
+  if v' < 0 then restart_flight t f ~off:f.qoff f.qroot
+  else begin
+    f.qver <- v';
+    f.qstage <- st_advance
+  end
+
+(* From the validated interior [f.qnode], stage the child the key routes
+   to; the next round touches it before stepping there. *)
+let stage_child t f =
+  let c = route f.qnode ~hi:f.qhi ~lo:f.qlo in
+  if c == t.nil then (* Torn read during a concurrent shape change. *)
+    revalidate_flight t f
+  else begin
+    f.qnext <- c;
+    f.qstage <- st_child
+  end
+
+(* One [chase_right] hop (get_walk in-pipeline): read the right sibling
+   next round.  False when the key stays in [b]. *)
+let chase_flight t f b =
+  let nx = chase_right t b ~hi:f.qhi ~lo:f.qlo in
+  nx != b
+  && begin
+       f.qnext <- nx;
+       f.qstage <- st_border;
+       true
+     end
+
+(* Common tail of a border read: validate the version snapshot the
+   extraction happened under (the §4.5 reader window, same shape as
+   get_forward — from st_hit the window spans a whole extra round, which
+   only raises the retry rate, never trusts a torn read), then act on the
+   extraction. *)
+let conclude t f b v lv ~suffix_ok =
+  Schedpoint.hit sp_get_read;
+  if Version.changed v (Atomic.get (version b)) then begin
+    Stats.incr t.tstats Stats.Local_retries;
+    if Version.deleted (Version.stable (version b)) then restart0 t f
+    else if not (chase_flight t f b) then begin
+      (* Not covered by a sibling: re-read this border next round. *)
+      f.qnext <- b;
+      f.qstage <- st_border
+    end
+  end
+  else
+    match lv with
+    | Value value when suffix_ok -> finish f (Some value)
+    | Layer r when f.qrem > 8 ->
+        (* Descend one trie layer without leaving the pipeline. *)
+        Schedpoint.hit sp_pipeline_layer;
+        enter_layer f ~off:(f.qoff + 8) r
+    | Layer _ -> finish f None
+    | Value _ | Empty ->
+        (* Not here — but a split that completed before this (fresh)
+           version snapshot can have moved the key right; the chase
+           settles it in-pipeline. *)
+        if not (chase_flight t f b) then finish f None
+
+(* The §4.5 read of a touched border under its stable snapshot [v].  A
+   value hit is concluded next round, once the touch pass has loaded the
+   value box and the suffix blob the conclusion reads. *)
+let step_border t f b v =
+  if Version.deleted v then restart0 t f
+  else begin
+    let hit = search_hit b (border_perm b) ~hi:f.qhi ~lo:f.qlo ~klen:f.qklen in
+    (* Extract while the snapshot is live, validate before trusting. *)
+    let lv = if hit < 0 then Empty else Array.unsafe_get b.lv (hit land 0xF) in
+    match lv with
+    | Value _ ->
+        f.qnext <- b;
+        f.qver <- v;
+        f.qhit <- hit;
+        f.qlv <- lv;
+        f.qstage <- st_hit
+    | Layer _ | Empty -> conclude t f b v lv ~suffix_ok:false
+  end
+
+(* Arrive at [n], validated under [v]: read it now if it is a border (the
+   touch pass has loaded it), else stage its child. *)
+let arrive t f n v =
+  if Version.is_border v then step_border t f n v
+  else begin
+    f.qnode <- n;
+    f.qver <- v;
+    stage_child t f
+  end
+
+let rec step_root t f fuel =
+  match stable_climb t f.qroot !(f.qroot) 16 with
+  | n ->
+      let v = Version.stable (version n) in
+      if Version.is_root v then arrive t f n v
+      else if fuel > 0 then step_root t f (fuel - 1)
+      else restart0 t f
+  | exception Restart -> restart0 t f
+
+let step t f =
+  let s = f.qstage in
+  if s = st_child then begin
+    (* Hand-over-hand: stabilize the child before revalidating the
+       parent, exactly as fb_descend. *)
+    let c = f.qnext in
+    let v' = Version.stable (version c) in
+    Schedpoint.hit sp_descend_validate;
+    if Version.changed f.qver (Atomic.get (version f.qnode)) then revalidate_flight t f
+    else arrive t f c v'
+  end
+  else if s = st_hit then begin
+    let b = f.qnext in
+    let suffix_ok =
+      f.qrem <= 8 || suffix_matches b (f.qhit land 0xF) f.qkey ~pos:(f.qoff + 8)
+    in
+    conclude t f b f.qver f.qlv ~suffix_ok
+  end
+  else if s = st_border then step_border t f f.qnext (Version.stable (version f.qnext))
+  else if s = st_advance then stage_child t f
+  else step_root t f 16
+
+(* The touch pass's per-flight loads: what [step] reads next. *)
+let touch_flight f =
+  let s = f.qstage in
+  if s = st_child || s = st_border then Node.touch f.qnext
+  else if s = st_hit then begin
+    (match f.qlv with
+    | Value v -> ignore (Sys.opaque_identity v)
+    | Layer _ | Empty -> ());
+    if f.qrem > 8 then prefetch_suffix f.qnext (f.qhit land 0xF)
+  end
+  else if s = st_root then Node.touch !(f.qroot)
+
+(* Round loop: a touch pass, then a step pass; a flight that is done
+   skips both.  The round budget bounds pathological churn; a flight
+   that outlives it finishes on the sequential path. *)
+let run_flights t flights =
+  let n = Array.length flights in
+  let live = ref n and rounds = ref 256 in
+  while !live > 0 && !rounds > 0 do
+    decr rounds;
+    Schedpoint.hit sp_pipeline_round;
+    for i = 0 to n - 1 do
+      let f = Array.unsafe_get flights i in
+      if f.qstage < st_done then touch_flight f
+    done;
+    Schedpoint.hit sp_pipeline_touched;
+    live := 0;
+    for i = 0 to n - 1 do
+      let f = Array.unsafe_get flights i in
+      if f.qstage < st_done then begin
+        step t f;
+        if f.qstage < st_done then incr live
+      end
+    done
+  done
 
 let multi_get t keys =
   (* Count one get per key, matching the plain path, so obs throughput
      agrees between batched and unbatched front ends. *)
   Stats.add t.tstats Stats.Gets (Array.length keys);
   pinned t (fun () ->
-      let flights =
-        Array.map
-          (fun key ->
-            let f =
-              { qkey = key; qoff = 0; qhi = 0; qlo = 0; qrem = 0; qklen = 0;
-                qroot = t.root; qnode = !(t.root); qver = 0; qstage = P_root;
-                qhit = -1; qlv = Empty; qfuel = 16; qdone = false;
-                qresult = `Pending }
-            in
-            enter_layer f ~off:0 t.root;
-            f)
-          keys
-      in
-      let remaining = ref (Array.length flights) in
-      let finish f r =
-        if not f.qdone then begin
-          f.qdone <- true;
-          f.qresult <- r;
-          decr remaining
-        end
-      in
-      (* Re-enter the pipeline at a layer root.  Bounded by per-flight
-         fuel, after which the flight is handed to the sequential path
-         (whose [tree.restart.spin] loop guarantees progress). *)
-      let restart f ~off root =
-        Stats.incr t.tstats Stats.Pipeline_restarts;
-        Schedpoint.hit sp_pipeline_restart;
-        f.qfuel <- f.qfuel - 1;
-        if f.qfuel <= 0 then finish f `Fallback else enter_layer f ~off root
-      in
-      (* From the layer-0 root: the pipelined equivalent of raising
-         [Restart] into [get_attempt]. *)
-      let restart0 f =
-        Stats.incr t.tstats Stats.Root_retries;
-        restart f ~off:0 t.root
-      in
-      (* Hand-over-hand validation at [f.qnode] failed: re-enter from the
-         current layer's root when [revalidate] says a split moved
-         responsibility somewhere only the root still reaches (it has
-         counted the root retry), else re-stage from the same node under
-         its fresh version. *)
-      let revalidate_flight f =
-        let v' = revalidate t f.qnode f.qver in
-        if v' < 0 then restart f ~off:f.qoff f.qroot
-        else begin
-          f.qver <- v';
-          f.qstage <- P_advance
-        end
-      in
-      (* From a just-validated position, compute and stage the next node;
-         it is read for real one round later, so its cache misses overlap
-         with every other flight's step in between. *)
-      let stage_from f =
-        match f.qnode with
-        | Border b -> f.qstage <- P_border b
-        | Interior i -> (
-            match i.ichild.(child_index i ~hi:f.qhi ~lo:f.qlo) with
-            | None ->
-                (* Torn read during a concurrent shape change. *)
-                revalidate_flight f
-            | Some n' -> f.qstage <- P_child n')
-      in
-      (* One [chase_right] hop per round (get_walk in-pipeline), else
-         [k]. *)
-      let chase_or f b k =
-        let nx = chase_right b ~hi:f.qhi ~lo:f.qlo in
-        if nx != b then begin
-          f.qnode <- Border nx;
-          f.qstage <- P_border nx
-        end
-        else k ()
-      in
-      (* Common tail of a border read: validate the version snapshot the
-         extraction happened under (the §4.5 reader window, same shape as
-         get_forward — from [P_suffix] the window spans a whole extra
-         round, which only raises the retry rate, never trusts a torn
-         read), then act on the extraction. *)
-      let conclude_border f b v lv ~suffix_ok =
-        Schedpoint.hit sp_get_read;
-        if Version.changed v (Atomic.get b.bversion) then begin
-          Stats.incr t.tstats Stats.Local_retries;
-          let v2 = Version.stable b.bversion in
-          if Version.deleted v2 then restart0 f
-          else begin
-            (* Chase right if covered; otherwise re-read this border
-               next round. *)
-            f.qstage <- P_border b;
-            chase_or f b (fun () -> ())
-          end
-        end
-        else
-          match lv with
-          | Value value when suffix_ok -> finish f (`Value value)
-          | Layer r when f.qrem > 8 ->
-              (* Descend one trie layer without leaving the pipeline. *)
-              Schedpoint.hit sp_pipeline_layer;
-              enter_layer f ~off:(f.qoff + 8) r
-          | Layer _ -> finish f `Notfound
-          | Value _ | Empty ->
-              (* Not here — but a split that completed before this
-                 (fresh) version snapshot can have moved the key right;
-                 the chase settles it in-pipeline. *)
-              chase_or f b (fun () -> finish f `Notfound)
-      in
-      let step_border f b =
-        let v = Version.stable b.bversion in
-        if Version.deleted v then restart0 f
-        else begin
-          let hit = search_hit b (border_perm b) ~hi:f.qhi ~lo:f.qlo ~klen:f.qklen in
-          (* Extract while the snapshot is live, validate before
-             trusting. *)
-          let lv = if hit < 0 then Empty else b.blv.(hit land 0xF) in
-          match lv with
-          | Value _ when f.qrem > 8 ->
-              (* Confirming the hit needs the slot's suffix blob — a
-                 dependent cold line.  Pipeline it: issue its fetch now,
-                 compare and validate next round under snapshot [v]. *)
-              f.qver <- v;
-              f.qhit <- hit;
-              f.qlv <- lv;
-              prefetch_suffix b (hit land 0xF);
-              f.qstage <- P_suffix b
-          | _ ->
-              let suffix_ok =
-                match lv with Value _ -> true | Layer _ | Empty -> false
-              in
-              conclude_border f b v lv ~suffix_ok
-        end
-      in
-      let step f =
-        match f.qstage with
-        | P_root -> (
-            match stable_root f.qroot with
-            | n, v ->
-                f.qnode <- n;
-                f.qver <- v;
-                stage_from f
-            | exception Restart -> restart0 f)
-        | P_advance -> stage_from f
-        | P_child n' ->
-            (* Hand-over-hand: stabilize the child before revalidating
-               the parent, exactly as fb_descend. *)
-            let v' = Version.stable (version_of n') in
-            Schedpoint.hit sp_descend_validate;
-            if Version.changed f.qver (Atomic.get (version_of f.qnode)) then
-              revalidate_flight f
-            else begin
-              f.qnode <- n';
-              f.qver <- v';
-              stage_from f
-            end
-        | P_border b -> step_border f b
-        | P_suffix b ->
-            let suffix_ok =
-              suffix_matches b (f.qhit land 0xF) f.qkey ~pos:(f.qoff + 8)
-            in
-            conclude_border f b f.qver f.qlv ~suffix_ok
-      in
-      (* Round loop: every pass advances each live flight one node, so
-         all of a round's prefetches are issued before any of the staged
-         nodes is read.  The round budget bounds pathological churn; a
-         flight that outlives it finishes on the sequential path. *)
-      let fuel = ref 256 in
-      while !remaining > 0 && !fuel > 0 do
-        decr fuel;
-        Schedpoint.hit sp_pipeline_round;
-        Array.iter (fun f -> if not f.qdone then step f) flights
-      done;
+      let flights = Array.map (new_flight t) keys in
+      run_flights t flights;
       Array.map
-        (fun f ->
-          match f.qresult with
-          | `Value v -> Some v
-          | `Notfound -> None
-          | `Pending | `Fallback -> get_attempt t f.qkey)
+        (fun f -> if f.qstage = st_done then f.qresult else get_attempt t f.qkey)
         flights)
 
 let multi_get_pipelined = multi_get
@@ -635,36 +658,36 @@ let multi_get_pipelined = multi_get
 (* ------------------------------------------------------------------ *)
 
 (* Figure 4's lockedparent: lock the parent, then confirm it is still the
-   parent (a concurrent split of the parent may have moved us). *)
-let locked_parent n =
-  let rec retry () =
-    match parent_of n with
-    | None -> None
-    | Some p -> (
-        Version.lock p.iversion;
-        match parent_of n with
-        | Some q when q == p -> Some p
-        | _ ->
-            Version.unlock p.iversion;
-            retry ())
-  in
-  retry ()
+   parent (a concurrent split of the parent may have moved us).  [nil]
+   when [n] is its layer's root. *)
+let rec locked_parent t n =
+  let p = n.parent in
+  if p == t.nil then p
+  else begin
+    Version.lock (version p);
+    if n.parent == p then p
+    else begin
+      Version.unlock (version p);
+      locked_parent t n
+    end
+  end
 
 (* With b locked, chase splits right until b is responsible for the key,
    and fail over to a full restart if b was deleted meanwhile.  No two
    border locks are ever held at once here, so there is no deadlock with
    split's up-the-tree ordering. *)
-let rec advance_locked b ~hi ~lo =
-  if Version.deleted (Atomic.get b.bversion) then begin
-    Version.unlock b.bversion;
+let rec advance_locked t b ~hi ~lo =
+  if Version.deleted (Atomic.get (version b)) then begin
+    Version.unlock (version b);
     raise Restart
   end;
-  match b.bnext with
-  | Some nx when Key.compare_parts hi lo nx.blowhi nx.blowlo >= 0 ->
-      Version.unlock b.bversion;
-      Version.lock nx.bversion;
-      advance_locked nx ~hi ~lo
-  | _ -> b
+  let nx = b.next in
+  if nx != t.nil && Key.compare_parts hi lo nx.lowhi nx.lowlo >= 0 then begin
+    Version.unlock (version b);
+    Version.lock (version nx);
+    advance_locked t nx ~hi ~lo
+  end
+  else b
 
 (* ------------------------------------------------------------------ *)
 (* Inserts and splits (Figure 5)                                       *)
@@ -688,12 +711,12 @@ let read_mentry b slot =
     mlo = slice_lo b slot;
     mklen = keylen b slot;
     msuf = suffix_handle b slot;
-    mlv = b.blv.(slot);
+    mlv = b.lv.(slot);
   }
 
 let write_mentry b slot e =
   set_entry b slot ~hi:e.mhi ~lo:e.mlo ~klen:e.mklen ~h:e.msuf;
-  b.blv.(slot) <- e.mlv
+  b.lv.(slot) <- e.mlv
 
 (* Insert into a border node with room, following the §4.6.2 protocol: fill
    a free slot, then publish with one permutation store.  Reusing a slot
@@ -704,18 +727,18 @@ let write_mentry b slot e =
 let insert_into_slots t b ~pos e =
   let perm = border_perm b in
   let slot = Permutation.free_slot perm in
-  if b.bstale land (1 lsl slot) <> 0 then begin
+  if b.stale land (1 lsl slot) <> 0 then begin
     Stats.incr t.tstats Stats.Slot_reuses;
-    Version.mark_inserting b.bversion;
-    b.bstale <- b.bstale land lnot (1 lsl slot);
+    Version.mark_inserting (version b);
+    b.stale <- b.stale land lnot (1 lsl slot);
     let h = suffix_handle b slot in
-    if h <> 0 then Pool.retire_blob b.bpool (handle t).eh h
+    if h <> 0 then Pool.retire_blob b.pool (handle t).eh h
   end;
   write_mentry b slot e;
   (* §4.6.2: entry written into its slot, not yet published — readers
      using the old permutation cannot see it. *)
   Schedpoint.hit sp_put_slot_written;
-  Atomic.set b.bperm (Permutation.insert perm ~pos :> int);
+  Atomic.set b.perm (Permutation.insert perm ~pos :> int);
   Schedpoint.hit sp_put_published
 
 (* Separator choice for a full border node: split near the middle, but
@@ -743,99 +766,96 @@ let pick_boundary entries =
 (* Insert (sepkey, nn) above the freshly split pair (n, nn).  Both are
    locked with their splitting bits set; this releases all locks taken. *)
 let rec ascend t root_ref n nn ~sephi ~seplo =
-  match locked_parent n with
-  | None ->
-      (* n was the root of this layer's B+-tree: grow the tree upward. *)
-      let p = new_interior ~isroot:true ~locked:false in
-      p.inkeys <- 1;
-      set_ikey p 0 ~hi:sephi ~lo:seplo;
-      p.ichild.(0) <- Some n;
-      p.ichild.(1) <- Some nn;
-      set_parent n (Some p);
-      set_parent nn (Some p);
-      Version.set_root (version_of n) false;
-      root_ref := Interior p;
-      (* New root published; the split pair is still locked. *)
-      Schedpoint.hit sp_split_root;
-      Version.unlock (version_of n);
-      Version.unlock (version_of nn)
-  | Some p ->
-      (* Split hand-off (Figure 5): parent locked, new sibling not yet
-         reachable from it. *)
-      Schedpoint.hit sp_split_ascend;
-      if p.inkeys < width then begin
-        Version.mark_inserting p.iversion;
-        let pos = child_index p ~hi:sephi ~lo:seplo in
-        for j = p.inkeys downto pos + 1 do
-          copy_ikey p ~dst:j ~src:(j - 1);
-          p.ichild.(j + 1) <- p.ichild.(j)
-        done;
-        set_ikey p pos ~hi:sephi ~lo:seplo;
-        p.ichild.(pos + 1) <- Some nn;
-        p.inkeys <- p.inkeys + 1;
-        set_parent nn (Some p);
-        Version.unlock (version_of n);
-        Version.unlock (version_of nn);
-        Version.unlock p.iversion
-      end
-      else begin
-        Stats.incr t.tstats Stats.Splits_interior;
-        Version.mark_splitting p.iversion;
-        Version.unlock (version_of n);
-        let pos = child_index p ~hi:sephi ~lo:seplo in
-        (* Combined key/child sequences with the new separator spliced in. *)
-        let khi = Array.make (width + 1) 0 in
-        let klo = Array.make (width + 1) 0 in
-        let children = Array.make (width + 2) None in
-        for j = 0 to width - 1 do
-          let dst = if j < pos then j else j + 1 in
-          khi.(dst) <- ikey_hi p j;
-          klo.(dst) <- ikey_lo p j
-        done;
-        khi.(pos) <- sephi;
-        klo.(pos) <- seplo;
-        for j = 0 to width do
-          let dst = if j <= pos then j else j + 1 in
-          children.(dst) <- p.ichild.(j)
-        done;
-        children.(pos + 1) <- Some nn;
-        let h = (width + 1) / 2 in
-        let uphi = khi.(h) and uplo = klo.(h) in
-        let pp = new_interior ~isroot:false ~locked:true in
-        Version.mark_splitting pp.iversion;
-        pp.inkeys <- width - h;
-        for j = h + 1 to width do
-          set_ikey pp (j - h - 1) ~hi:khi.(j) ~lo:klo.(j)
-        done;
-        for j = h + 1 to width + 1 do
-          pp.ichild.(j - h - 1) <- children.(j);
-          (match children.(j) with
-          | Some c -> set_parent c (Some pp)
-          | None -> assert false)
-        done;
-        p.inkeys <- h;
-        for j = 0 to h - 1 do
-          set_ikey p j ~hi:khi.(j) ~lo:klo.(j)
-        done;
-        for j = 0 to h do
-          p.ichild.(j) <- children.(j);
-          match children.(j) with
-          | Some c -> set_parent c (Some p)
-          | None -> assert false
-        done;
-        for j = h + 1 to width do
-          p.ichild.(j) <- None
-        done;
-        Version.unlock (version_of nn);
-        ascend t root_ref (Interior p) (Interior pp) ~sephi:uphi ~seplo:uplo
-      end
+  let p = locked_parent t n in
+  if p == t.nil then begin
+    (* n was the root of this layer's B+-tree: grow the tree upward. *)
+    let p = new_interior t.nil ~isroot:true ~locked:false in
+    p.nkeys <- 1;
+    set_ikey p 0 ~hi:sephi ~lo:seplo;
+    p.child.(0) <- n;
+    p.child.(1) <- nn;
+    n.parent <- p;
+    nn.parent <- p;
+    Version.set_root (version n) false;
+    root_ref := p;
+    (* New root published; the split pair is still locked. *)
+    Schedpoint.hit sp_split_root;
+    Version.unlock (version n);
+    Version.unlock (version nn)
+  end
+  else begin
+    (* Split hand-off (Figure 5): parent locked, new sibling not yet
+       reachable from it. *)
+    Schedpoint.hit sp_split_ascend;
+    if p.nkeys < width then begin
+      Version.mark_inserting (version p);
+      let pos = child_index p ~hi:sephi ~lo:seplo in
+      for j = p.nkeys downto pos + 1 do
+        copy_ikey p ~dst:j ~src:(j - 1);
+        p.child.(j + 1) <- p.child.(j)
+      done;
+      set_ikey p pos ~hi:sephi ~lo:seplo;
+      p.child.(pos + 1) <- nn;
+      p.nkeys <- p.nkeys + 1;
+      nn.parent <- p;
+      Version.unlock (version n);
+      Version.unlock (version nn);
+      Version.unlock (version p)
+    end
+    else begin
+      Stats.incr t.tstats Stats.Splits_interior;
+      Version.mark_splitting (version p);
+      Version.unlock (version n);
+      let pos = child_index p ~hi:sephi ~lo:seplo in
+      (* Combined key/child sequences with the new separator spliced in. *)
+      let khi = Array.make (width + 1) 0 in
+      let klo = Array.make (width + 1) 0 in
+      let children = Array.make (width + 2) nn in
+      for j = 0 to width - 1 do
+        let dst = if j < pos then j else j + 1 in
+        khi.(dst) <- ikey_hi p j;
+        klo.(dst) <- ikey_lo p j
+      done;
+      khi.(pos) <- sephi;
+      klo.(pos) <- seplo;
+      for j = 0 to width do
+        let dst = if j <= pos then j else j + 1 in
+        children.(dst) <- p.child.(j)
+      done;
+      let h = (width + 1) / 2 in
+      let uphi = khi.(h) and uplo = klo.(h) in
+      let pp = new_interior t.nil ~isroot:false ~locked:true in
+      Version.mark_splitting (version pp);
+      pp.nkeys <- width - h;
+      for j = h + 1 to width do
+        set_ikey pp (j - h - 1) ~hi:khi.(j) ~lo:klo.(j)
+      done;
+      for j = h + 1 to width + 1 do
+        pp.child.(j - h - 1) <- children.(j);
+        children.(j).parent <- pp
+      done;
+      p.nkeys <- h;
+      for j = 0 to h - 1 do
+        set_ikey p j ~hi:khi.(j) ~lo:klo.(j)
+      done;
+      for j = 0 to h do
+        p.child.(j) <- children.(j);
+        children.(j).parent <- p
+      done;
+      for j = h + 1 to width do
+        p.child.(j) <- t.nil
+      done;
+      Version.unlock (version nn);
+      ascend t root_ref p pp ~sephi:uphi ~seplo:uplo
+    end
+  end
 
 (* Split a full border node (locked) while inserting a new entry whose
    sorted position is [pos].  Implements the sequential-insert optimization:
    an append into the rightmost node leaves all existing keys in place. *)
 let split_border t root_ref b ~pos e =
   Stats.incr t.tstats Stats.Splits_border;
-  Version.mark_splitting b.bversion;
+  Version.mark_splitting (version b);
   Schedpoint.hit sp_split_begin;
   let perm = border_perm b in
   let nold = Permutation.size perm in
@@ -849,15 +869,15 @@ let split_border t root_ref b ~pos e =
   done;
   let sequential_append =
     pos = nold
-    && (match b.bnext with None -> true | Some _ -> false)
+    && b.next == t.nil
     && (combined.(nold - 1).mhi <> e.mhi || combined.(nold - 1).mlo <> e.mlo)
   in
   let m = if sequential_append then nold else pick_boundary combined in
   let nb =
-    new_border ~pool:t.pool ~isroot:false ~locked:true ~lowhi:combined.(m).mhi
+    new_border t.nil ~isroot:false ~locked:true ~lowhi:combined.(m).mhi
       ~lowlo:combined.(m).mlo
   in
-  Version.mark_splitting nb.bversion;
+  Version.mark_splitting (version nb);
   let right_count = nold + 1 - m in
   for j = m to nold do
     write_mentry nb (j - m) combined.(j);
@@ -866,28 +886,28 @@ let split_border t root_ref b ~pos e =
        publishes invalidates any reader that raced the zeroing). *)
     if slots.(j) >= 0 then set_suffix_handle b slots.(j) 0
   done;
-  Atomic.set nb.bperm (Permutation.sorted right_count :> int);
+  Atomic.set nb.perm (Permutation.sorted right_count :> int);
   if pos < m then begin
     (* The new entry lands on the left: keep the m-1 surviving old entries,
        then run the normal insert protocol into the freed space. *)
-    Atomic.set b.bperm (Permutation.keep_prefix perm ~n:(m - 1) :> int);
+    Atomic.set b.perm (Permutation.keep_prefix perm ~n:(m - 1) :> int);
     insert_into_slots t b ~pos e
   end
-  else Atomic.set b.bperm (Permutation.keep_prefix perm ~n:m :> int);
+  else Atomic.set b.perm (Permutation.keep_prefix perm ~n:m :> int);
   (* Entries migrated: the left node's permutation no longer covers them,
      the right sibling is not yet linked anywhere. *)
   Schedpoint.hit sp_split_migrated;
   (* Link the new sibling.  nx's prev pointer is protected by the lock of
      its new previous sibling, nb, which we hold. *)
-  nb.bnext <- b.bnext;
-  nb.bprev <- Some b;
-  (match b.bnext with Some nx -> nx.bprev <- Some nb | None -> ());
-  b.bnext <- Some nb;
+  nb.next <- b.next;
+  nb.prev <- b;
+  if b.next != t.nil then b.next.prev <- nb;
+  b.next <- nb;
   (* §4.6.4 hand-off window: the sibling is reachable through the border
      list but not yet from any parent, and both halves stay
      split-dirty. *)
   Schedpoint.hit sp_split_linked;
-  ascend t root_ref (Border b) (Border nb) ~sephi:nb.blowhi ~seplo:nb.blowlo
+  ascend t root_ref b nb ~sephi:nb.lowhi ~seplo:nb.lowlo
 
 (* ------------------------------------------------------------------ *)
 (* New trie layers (§4.6.3)                                            *)
@@ -902,7 +922,7 @@ let rec make_twokey_layer t ka va kb vb =
   Stats.incr t.tstats Stats.Layer_creates;
   let ahi = Key.slice_hi ka ~off:0 and alo = Key.slice_lo ka ~off:0 in
   let bhi = Key.slice_hi kb ~off:0 and blo = Key.slice_lo kb ~off:0 in
-  let b = new_border ~pool:t.pool ~isroot:true ~locked:false ~lowhi:0 ~lowlo:0 in
+  let b = new_border t.nil ~isroot:true ~locked:false ~lowhi:0 ~lowlo:0 in
   let entry_of k hi lo v =
     if Key.has_suffix k ~off:0 then
       { mhi = hi; mlo = lo; mklen = suffix_len_marker;
@@ -914,7 +934,7 @@ let rec make_twokey_layer t ka va kb vb =
     let deeper = make_twokey_layer t (Key.suffix ka ~off:0) va (Key.suffix kb ~off:0) vb in
     write_mentry b 0
       { mhi = ahi; mlo = alo; mklen = suffix_len_marker; msuf = 0; mlv = Layer deeper };
-    Atomic.set b.bperm (Permutation.sorted 1 :> int)
+    Atomic.set b.perm (Permutation.sorted 1 :> int)
   end
   else begin
     let ea = entry_of ka ahi alo va and eb = entry_of kb bhi blo vb in
@@ -924,9 +944,9 @@ let rec make_twokey_layer t ka va kb vb =
     in
     write_mentry b 0 first;
     write_mentry b 1 second;
-    Atomic.set b.bperm (Permutation.sorted 2 :> int)
+    Atomic.set b.perm (Permutation.sorted 2 :> int)
   end;
-  ref (Border b)
+  ref b
 
 (* ------------------------------------------------------------------ *)
 (* put                                                                 *)
@@ -946,7 +966,7 @@ let locate b ~hi ~lo ~rem ~key ~off =
   | -1 -> Absent (insertion_pos b perm ~hi ~lo ~klen)
   | hit -> (
       let pos = hit lsr 4 and slot = hit land 0xF in
-      match b.blv.(slot) with
+      match b.lv.(slot) with
       | Layer r ->
           assert (rem > 8);
           At_layer (pos, slot, r)
@@ -974,19 +994,19 @@ let rec put_layer t root_ref key off u =
   let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
   let rem = String.length key - off in
   let b, _ = find_border t root_ref ~hi ~lo in
-  Version.lock b.bversion;
-  let b = advance_locked b ~hi ~lo in
+  Version.lock (version b);
+  let b = advance_locked t b ~hi ~lo in
   match locate b ~hi ~lo ~rem ~key ~off with
   | At (_, slot) ->
-      let old = match b.blv.(slot) with Value v -> v | Layer _ | Empty -> assert false in
+      let old = match b.lv.(slot) with Value v -> v | Layer _ | Empty -> assert false in
       (* Value replacement is one atomic store: readers see old or new,
          no version bump, no retries (§4.6.1). *)
-      b.blv.(slot) <- Value (upd_present u old);
+      b.lv.(slot) <- Value (upd_present u old);
       Schedpoint.hit sp_put_replaced;
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       Some old
   | At_layer (_, _, r) ->
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       put_layer t r key (off + 8) u
   | Suffix_clash (_, slot, old_suffix, old_value) ->
       let layer =
@@ -999,9 +1019,9 @@ let rec put_layer t root_ref key off u =
          matching suffix, and layer creation bumps no version to
          invalidate it (§4.6.3).  The blob is retired when the slot is
          reused or the node dies. *)
-      b.blv.(slot) <- Layer layer;
+      b.lv.(slot) <- Layer layer;
       Schedpoint.hit sp_layer_published;
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       None
   | Absent pos ->
       let e =
@@ -1018,7 +1038,7 @@ let rec put_layer t root_ref key off u =
       if Permutation.is_full (border_perm b) then split_border t root_ref b ~pos e
       else begin
         insert_into_slots t b ~pos e;
-        Version.unlock b.bversion
+        Version.unlock (version b)
       end;
       None
 
@@ -1050,206 +1070,6 @@ let put t key value = put_pinned t key (Const value)
 (* remove (§4.6.5)                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Remove [child] (locked, marked deleted) from its parent, propagating
-   upward when an interior node runs out of children.  Unlocks [child]. *)
-let rec remove_from_parent t child =
-  match locked_parent child with
-  | None ->
-      (* Only reachable transiently; a layer root is never deleted through
-         this path because the leftmost border is never deleted. *)
-      Version.unlock (version_of child)
-  | Some p -> (
-      Version.mark_inserting p.iversion;
-      let k = p.inkeys in
-      let idx = ref None in
-      for j = 0 to k do
-        match p.ichild.(j) with
-        | Some c when same_node c child -> idx := Some j
-        | _ -> ()
-      done;
-      match !idx with
-      | None ->
-          (* The child is no longer under p (should not happen: parent was
-             validated under p's lock).  Bail out safely. *)
-          Version.unlock (version_of child);
-          Version.unlock p.iversion
-      | Some i ->
-          if k = 0 then begin
-            (* p had a single child and now has none: delete p as well. *)
-            p.ichild.(0) <- None;
-            Version.unlock (version_of child);
-            Version.mark_deleted p.iversion;
-            Stats.incr t.tstats Stats.Node_deletes;
-            remove_from_parent t (Interior p)
-          end
-          else begin
-            if i = 0 then begin
-              for j = 0 to k - 2 do
-                copy_ikey p ~dst:j ~src:(j + 1)
-              done;
-              for j = 0 to k - 1 do
-                p.ichild.(j) <- p.ichild.(j + 1)
-              done
-            end
-            else begin
-              for j = i - 1 to k - 2 do
-                copy_ikey p ~dst:j ~src:(j + 1)
-              done;
-              for j = i to k - 1 do
-                p.ichild.(j) <- p.ichild.(j + 1)
-              done
-            end;
-            p.ichild.(k) <- None;
-            p.inkeys <- k - 1;
-            Version.unlock (version_of child);
-            Version.unlock p.iversion
-          end)
-
-(* Unlink b (locked, deleted) from the doubly-linked border list.  The
-   paper uses flagged CAS; trylock-with-restart gives the same lock-order
-   guarantees with simpler invariants (DESIGN.md §5). *)
-let unlink_from_list b =
-  let bo = Xutil.Backoff.create () in
-  let rec loop () =
-    match b.bprev with
-    | None -> () (* the leftmost node is never deleted *)
-    | Some prev ->
-        if Version.try_lock prev.bversion then begin
-          let pv = Atomic.get prev.bversion in
-          let still_linked =
-            (not (Version.deleted pv))
-            && match prev.bnext with Some x -> x == b | None -> false
-          in
-          if still_linked then begin
-            prev.bnext <- b.bnext;
-            (match b.bnext with Some nx -> nx.bprev <- Some prev | None -> ());
-            Version.unlock prev.bversion;
-            Schedpoint.hit sp_remove_unlinked
-          end
-          else begin
-            Version.unlock prev.bversion;
-            Schedpoint.spin sp_remove_unlink_spin;
-            Xutil.Backoff.once bo;
-            loop ()
-          end
-        end
-        else begin
-          Schedpoint.spin sp_remove_unlink_spin;
-          Xutil.Backoff.once bo;
-          loop ()
-        end
-  in
-  loop ()
-
-let delete_border t b =
-  Stats.incr t.tstats Stats.Node_deletes;
-  Version.mark_deleted b.bversion;
-  unlink_from_list b;
-  (* Epoch-retire the cell and any suffix blobs still parked on the dead
-     node (live entries were already cut; stale slots may still own
-     blobs).  Pinned readers racing the §4.5 window keep validating
-     against intact storage until the deferred free runs. *)
-  retire_storage b (handle t).eh;
-  remove_from_parent t (Border b)
-
-(* Lock-free walk to the node ref of the layer at [off_target] along the
-   slices of [key]; gives up (Not_found) on any anomaly — the collapse task
-   is purely an optimization and may simply be dropped. *)
-let layer_root_at t key off_target =
-  let rec go root_ref off =
-    if off = off_target then root_ref
-    else begin
-      let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
-      let b, _v = find_border t root_ref ~hi ~lo in
-      match search_hit b (border_perm b) ~hi ~lo ~klen:suffix_len_marker with
-      | -1 -> raise Not_found
-      | hit -> (
-          match b.blv.(hit land 0xF) with
-          | Layer r -> go r (off + 8)
-          | Value _ | Empty -> raise Not_found)
-    end
-  in
-  go t.root 0
-
-(* b just became empty (locked).  Decide its fate: layer roots stay but may
-   trigger a collapse of the whole layer; the leftmost border of a tree is
-   never deleted (paper invariant); anything else is deleted in place. *)
-let rec handle_empty t b key off =
-  Schedpoint.hit sp_remove_empty;
-  let v = Atomic.get b.bversion in
-  if Version.is_root v then begin
-    Version.unlock b.bversion;
-    if off > 0 then
-      (* An empty non-root layer: schedule a collapse task that re-descends
-         by key prefix and unlinks the layer if still empty (§4.6.5). *)
-      Epoch.schedule t.emgr (fun () -> try_collapse_layer t key off)
-  end
-  else begin
-    match b.bprev with
-    | None -> Version.unlock b.bversion
-    | Some _ -> delete_border t b
-  end
-
-(* Collapse the (presumed empty) layer reached by key bytes [0, off): lock
-   the layer-(h-1) border holding the link and the layer-h root together —
-   the only place two layers' locks are held at once, always in
-   parent-then-child order (§4.6.5). *)
-and try_collapse_layer t key off =
-  assert (off >= 8);
-  Schedpoint.hit sp_collapse_begin;
-  match try Some (layer_root_at t key (off - 8)) with Not_found | Restart -> None with
-  | None -> ()
-  | Some parent_layer -> (
-      let hi = Key.slice_hi key ~off:(off - 8)
-      and lo = Key.slice_lo key ~off:(off - 8) in
-      match
-        try
-          let b, _ = find_border t parent_layer ~hi ~lo in
-          Version.lock b.bversion;
-          Some (advance_locked b ~hi ~lo)
-        with Restart -> None
-      with
-      | None -> ()
-      | Some b -> (
-          match search_hit b (border_perm b) ~hi ~lo ~klen:suffix_len_marker with
-          | -1 -> Version.unlock b.bversion
-          | hit -> (
-              let pos = hit lsr 4 and slot = hit land 0xF in
-              match b.blv.(slot) with
-              | Value _ | Empty -> Version.unlock b.bversion
-              | Layer r -> (
-                  match try Some (stable_root r) with Restart -> None with
-                  | Some (Border cb, _) ->
-                      Version.lock cb.bversion;
-                      let cv = Atomic.get cb.bversion in
-                      let empty_leaf_layer =
-                        Version.is_root cv
-                        && (not (Version.deleted cv))
-                        && Permutation.size (border_perm cb) = 0
-                        && (match cb.bnext with None -> true | Some _ -> false)
-                      in
-                      if empty_leaf_layer then begin
-                        Version.mark_deleted cb.bversion;
-                        (* The dead layer root's storage (cell plus any
-                           stale-slot blobs) goes back to the pool once
-                           racing readers drain. *)
-                        retire_storage cb (handle t).eh;
-                        Version.unlock cb.bversion;
-                        let perm = border_perm b in
-                        Atomic.set b.bperm (Permutation.remove perm ~pos :> int);
-                        b.bstale <- b.bstale lor (1 lsl slot);
-                        Stats.incr t.tstats Stats.Layer_collapses;
-                        Schedpoint.hit sp_collapse_done;
-                        if Permutation.size (border_perm b) = 0 then
-                          handle_empty t b key (off - 8)
-                        else Version.unlock b.bversion
-                      end
-                      else begin
-                        Version.unlock cb.bversion;
-                        Version.unlock b.bversion
-                      end
-                  | Some (Interior _, _) | None -> Version.unlock b.bversion))))
-
 (* ------------------------------------------------------------------ *)
 (* Delete-side leaf coalescing                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1268,121 +1088,286 @@ and try_collapse_layer t key off =
    range of a deleted left sibling") — ranges may grow rightward only.
 
    Lock order is b -> nx -> parent: the same child-then-parent direction
-   as split's ascend, so no cycle with any other writer (unlink_from_list
+   as split's ascend, so no cycle with any other writer (delete_border
    takes right-before-left but only via trylock).  Failure to qualify at
    any step just unlocks and gives up — coalescing is an optimization. *)
 let try_coalesce t b =
-  (* b locked, live, 0 < size <= merge_threshold. *)
-  if Version.is_root (Atomic.get b.bversion) then Version.unlock b.bversion
-  else
-    match b.bnext with
-    | None -> Version.unlock b.bversion
-    | Some nx -> (
-        Version.lock nx.bversion;
-        let sb = Permutation.size (border_perm b) in
-        let sn = Permutation.size (border_perm nx) in
-        if Version.deleted (Atomic.get nx.bversion) || sb + sn > merge_max then begin
-          Version.unlock nx.bversion;
-          Version.unlock b.bversion
-        end
-        else
-          match locked_parent (Border b) with
-          | None ->
-              Version.unlock nx.bversion;
-              Version.unlock b.bversion
-          | Some p ->
-              let bi = ref (-1) in
-              for j = 0 to p.inkeys do
-                match p.ichild.(j) with
-                | Some c when same_node c (Border b) -> bi := j
-                | _ -> ()
-              done;
-              let adjacent =
-                !bi >= 0
-                && !bi < p.inkeys
-                && match p.ichild.(!bi + 1) with
-                   | Some c -> same_node c (Border nx)
-                   | None -> false
-              in
-              if not adjacent then begin
-                Version.unlock p.iversion;
-                Version.unlock nx.bversion;
-                Version.unlock b.bversion
-              end
-              else begin
-                Stats.incr t.tstats Stats.Leaf_merges;
-                Version.mark_splitting b.bversion;
-                Version.mark_deleted nx.bversion;
-                Schedpoint.hit sp_merge_begin;
-                (* Migrate nx's live entries — all greater than b's keys —
-                   into b's free slots, then publish with one permutation
-                   store.  Blob ownership moves; source words are zeroed
-                   so the dead node's sweep cannot double-retire. *)
-                let eh = (handle t).eh in
-                let perm = ref (border_perm b) in
-                let nperm = border_perm nx in
-                for i = 0 to sn - 1 do
-                  let src = Permutation.get nperm i in
-                  let q = !perm in
-                  let dst = Permutation.free_slot q in
-                  (if b.bstale land (1 lsl dst) <> 0 then begin
-                     b.bstale <- b.bstale land lnot (1 lsl dst);
-                     (* The vsplit bump already forces every reader to
-                        retry; just release the stale slot's old blob. *)
-                     let h = suffix_handle b dst in
-                     if h <> 0 then Pool.retire_blob b.bpool eh h
-                   end);
-                  write_mentry b dst (read_mentry nx src);
-                  set_suffix_handle nx src 0;
-                  perm := Permutation.insert q ~pos:(Permutation.size q)
-                done;
-                Atomic.set b.bperm (!perm :> int);
-                (* Entries published in b; nx still linked and routed-to. *)
-                Schedpoint.hit sp_merge_migrated;
-                (* Border-list repair: nx's successor's prev is protected
-                   by nx's lock, which we hold. *)
-                b.bnext <- nx.bnext;
-                (match nx.bnext with Some r -> r.bprev <- Some b | None -> ());
-                (* Parent repair: drop nx and the separator between b and
-                   nx (key index bi, child index bi+1). *)
-                Version.mark_inserting p.iversion;
-                let k = p.inkeys in
-                let i = !bi in
-                for j = i to k - 2 do
-                  copy_ikey p ~dst:j ~src:(j + 1)
-                done;
-                for j = i + 1 to k - 1 do
-                  p.ichild.(j) <- p.ichild.(j + 1)
-                done;
-                p.ichild.(k) <- None;
-                p.inkeys <- k - 1;
-                retire_storage nx eh;
-                Version.unlock nx.bversion;
-                Version.unlock p.iversion;
-                Version.unlock b.bversion;
-                Schedpoint.hit sp_merge_done
-              end)
+  (* b locked, live, size <= merge_threshold. *)
+  let nx = b.next in
+  if Version.is_root (Atomic.get (version b)) || nx == t.nil then Version.unlock (version b)
+  else begin
+    Version.lock (version nx);
+    let sb = Permutation.size (border_perm b) in
+    let sn = Permutation.size (border_perm nx) in
+    let p =
+      if Version.deleted (Atomic.get (version nx)) || sb + sn > merge_max then t.nil
+      else locked_parent t b
+    in
+    let bi = ref (-1) in
+    if p != t.nil then
+      for j = 0 to p.nkeys do
+        if p.child.(j) == b then bi := j
+      done;
+    let adjacent = !bi >= 0 && !bi < p.nkeys && p.child.(!bi + 1) == nx in
+    if not adjacent then begin
+      if p != t.nil then Version.unlock (version p);
+      Version.unlock (version nx);
+      Version.unlock (version b)
+    end
+    else begin
+      Stats.incr t.tstats Stats.Leaf_merges;
+      Stats.incr t.tstats Stats.Node_deletes;
+      Version.mark_splitting (version b);
+      Version.mark_deleted (version nx);
+      Schedpoint.hit sp_merge_begin;
+      (* Migrate nx's live entries — all greater than b's keys — into b's
+         free slots, then publish with one permutation store.  Blob
+         ownership moves; source words are zeroed so the dead node's
+         sweep cannot double-retire. *)
+      let eh = (handle t).eh in
+      let perm = ref (border_perm b) in
+      let nperm = border_perm nx in
+      for i = 0 to sn - 1 do
+        let src = Permutation.get nperm i in
+        let q = !perm in
+        let dst = Permutation.free_slot q in
+        (if b.stale land (1 lsl dst) <> 0 then begin
+           b.stale <- b.stale land lnot (1 lsl dst);
+           (* The vsplit bump already forces every reader to retry; just
+              release the stale slot's old blob. *)
+           let h = suffix_handle b dst in
+           if h <> 0 then Pool.retire_blob b.pool eh h
+         end);
+        write_mentry b dst (read_mentry nx src);
+        set_suffix_handle nx src 0;
+        perm := Permutation.insert q ~pos:(Permutation.size q)
+      done;
+      Atomic.set b.perm (!perm :> int);
+      (* Entries published in b; nx still linked and routed-to. *)
+      Schedpoint.hit sp_merge_migrated;
+      (* Border-list repair: nx's successor's prev is protected by nx's
+         lock, which we hold. *)
+      b.next <- nx.next;
+      if nx.next != t.nil then nx.next.prev <- b;
+      (* Parent repair: drop nx and the separator between b and nx (key
+         index bi, child index bi+1). *)
+      Version.mark_inserting (version p);
+      let k = p.nkeys in
+      let i = !bi in
+      for j = i to k - 2 do
+        copy_ikey p ~dst:j ~src:(j + 1)
+      done;
+      for j = i + 1 to k - 1 do
+        p.child.(j) <- p.child.(j + 1)
+      done;
+      p.child.(k) <- t.nil;
+      p.nkeys <- k - 1;
+      retire_storage nx eh;
+      Version.unlock (version nx);
+      Version.unlock (version p);
+      Version.unlock (version b);
+      Schedpoint.hit sp_merge_done
+    end
+  end
+
+(* Delete the empty, locked, non-root border [b] — or keep it, which is
+   always safe: deletion only saves space.
+
+   A deleted border's range must go to its left neighbour, whose range
+   then grows rightward as a split's or merge's does, so every border's
+   lowkey stays the exact lower bound of its range.  A border that is
+   its parent's child 0 has no left neighbour under that parent: its
+   range would pass to the right sibling, below that sibling's lowkey,
+   and a later split of the sibling would leave the border list's
+   lowkeys out of order (a reverse scan, which steps down by lowkeys,
+   then revisits one node forever).  So child 0 stays, empty, like the
+   layer's leftmost border; an interior therefore never loses its last
+   child.
+
+   Locks: b, then its parent (the child-then-parent order of split),
+   then — trylock only, never waiting while the parent is held — the
+   left neighbour, whose [next] the unlink rewrites.  The paper uses
+   flagged CAS for the unlink; a bounded trylock that gives up keeps the
+   same lock-order guarantees (DESIGN.md §5). *)
+let delete_border t b =
+  let p = locked_parent t b in
+  let keep () =
+    if p != t.nil then Version.unlock (version p);
+    Version.unlock (version b)
+  in
+  let i = ref (-1) in
+  if p != t.nil then
+    for j = 0 to p.nkeys do
+      if p.child.(j) == b then i := j
+    done;
+  let i = !i in
+  if i < 0 then keep ()
+  else if i = 0 then begin
+    (* Empty child 0: absorb the right sibling instead, if it fits. *)
+    Version.unlock (version p);
+    try_coalesce t b
+  end
+  else begin
+    let prev = b.prev and bo = Xutil.Backoff.create () in
+    let rec lock_prev tries =
+      Version.try_lock (version prev)
+      || tries > 0
+         && begin
+              Schedpoint.spin sp_remove_unlink_spin;
+              Xutil.Backoff.once bo;
+              lock_prev (tries - 1)
+            end
+    in
+    if not (lock_prev 8) then keep ()
+    else if Version.deleted (Atomic.get (version prev)) || prev.next != b then begin
+      Version.unlock (version prev);
+      keep ()
+    end
+    else begin
+      Stats.incr t.tstats Stats.Node_deletes;
+      Version.mark_deleted (version b);
+      prev.next <- b.next;
+      if b.next != t.nil then b.next.prev <- prev;
+      Version.unlock (version prev);
+      Schedpoint.hit sp_remove_unlinked;
+      (* Epoch-retire the cell and any suffix blobs still parked on the
+         dead node (live entries were already cut; stale slots may still
+         own blobs).  Pinned readers racing the §4.5 window keep
+         validating against intact storage until the deferred free
+         runs. *)
+      retire_storage b (handle t).eh;
+      (* Drop child i >= 1 and its separator, key i - 1: child i - 1
+         takes over the range. *)
+      Version.mark_inserting (version p);
+      let k = p.nkeys in
+      for j = i - 1 to k - 2 do
+        copy_ikey p ~dst:j ~src:(j + 1)
+      done;
+      for j = i to k - 1 do
+        p.child.(j) <- p.child.(j + 1)
+      done;
+      p.child.(k) <- t.nil;
+      p.nkeys <- k - 1;
+      Version.unlock (version b);
+      Version.unlock (version p)
+    end
+  end
+
+(* Lock-free walk to the node ref of the layer at [off_target] along the
+   slices of [key]; gives up (Not_found) on any anomaly — the collapse task
+   is purely an optimization and may simply be dropped. *)
+let layer_root_at t key off_target =
+  let rec go root_ref off =
+    if off = off_target then root_ref
+    else begin
+      let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
+      let b, _v = find_border t root_ref ~hi ~lo in
+      match search_hit b (border_perm b) ~hi ~lo ~klen:suffix_len_marker with
+      | -1 -> raise Not_found
+      | hit -> (
+          match b.lv.(hit land 0xF) with
+          | Layer r -> go r (off + 8)
+          | Value _ | Empty -> raise Not_found)
+    end
+  in
+  go t.root 0
+
+(* b just became empty (locked).  Decide its fate: layer roots stay but may
+   trigger a collapse of the whole layer; anything else goes to
+   [delete_border], which keeps a parent's child 0 (and with it the
+   leftmost border of a tree, the paper's invariant). *)
+let rec handle_empty t b key off =
+  Schedpoint.hit sp_remove_empty;
+  let v = Atomic.get (version b) in
+  if Version.is_root v then begin
+    Version.unlock (version b);
+    if off > 0 then
+      (* An empty non-root layer: schedule a collapse task that re-descends
+         by key prefix and unlinks the layer if still empty (§4.6.5). *)
+      Epoch.schedule t.emgr (fun () -> try_collapse_layer t key off)
+  end
+  else delete_border t b
+
+(* Collapse the (presumed empty) layer reached by key bytes [0, off): lock
+   the layer-(h-1) border holding the link and the layer-h root together —
+   the only place two layers' locks are held at once, always in
+   parent-then-child order (§4.6.5). *)
+and try_collapse_layer t key off =
+  assert (off >= 8);
+  Schedpoint.hit sp_collapse_begin;
+  match try Some (layer_root_at t key (off - 8)) with Not_found | Restart -> None with
+  | None -> ()
+  | Some parent_layer -> (
+      let hi = Key.slice_hi key ~off:(off - 8)
+      and lo = Key.slice_lo key ~off:(off - 8) in
+      match
+        try
+          let b, _ = find_border t parent_layer ~hi ~lo in
+          Version.lock (version b);
+          Some (advance_locked t b ~hi ~lo)
+        with Restart -> None
+      with
+      | None -> ()
+      | Some b -> (
+          match search_hit b (border_perm b) ~hi ~lo ~klen:suffix_len_marker with
+          | -1 -> Version.unlock (version b)
+          | hit -> (
+              let pos = hit lsr 4 and slot = hit land 0xF in
+              match b.lv.(slot) with
+              | Value _ | Empty -> Version.unlock (version b)
+              | Layer r -> (
+                  match try Some (stable_root t r) with Restart -> None with
+                  | Some (cb, cv0) when Version.is_border cv0 ->
+                      Version.lock (version cb);
+                      let cv = Atomic.get (version cb) in
+                      let empty_leaf_layer =
+                        Version.is_root cv
+                        && (not (Version.deleted cv))
+                        && Permutation.size (border_perm cb) = 0
+                        && cb.next == t.nil
+                      in
+                      if empty_leaf_layer then begin
+                        Version.mark_deleted (version cb);
+                        (* The dead layer root's storage (cell plus any
+                           stale-slot blobs) goes back to the pool once
+                           racing readers drain. *)
+                        retire_storage cb (handle t).eh;
+                        Version.unlock (version cb);
+                        let perm = border_perm b in
+                        Atomic.set b.perm (Permutation.remove perm ~pos :> int);
+                        b.stale <- b.stale lor (1 lsl slot);
+                        Stats.incr t.tstats Stats.Layer_collapses;
+                        Schedpoint.hit sp_collapse_done;
+                        if Permutation.size (border_perm b) = 0 then
+                          handle_empty t b key (off - 8)
+                        else Version.unlock (version b)
+                      end
+                      else begin
+                        Version.unlock (version cb);
+                        Version.unlock (version b)
+                      end
+                  | Some _ | None -> Version.unlock (version b)))))
 
 let rec remove_layer t root_ref key off pred =
   let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
   let rem = String.length key - off in
   let b, _ = find_border t root_ref ~hi ~lo in
-  Version.lock b.bversion;
-  let b = advance_locked b ~hi ~lo in
+  Version.lock (version b);
+  let b = advance_locked t b ~hi ~lo in
   match locate b ~hi ~lo ~rem ~key ~off with
   | At_layer (_, _, r) ->
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       remove_layer t r key (off + 8) pred
   | Suffix_clash _ ->
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       None
   | Absent _ ->
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       None
   | At (pos, slot) ->
-      let old = match b.blv.(slot) with Value v -> v | Layer _ | Empty -> assert false in
+      let old = match b.lv.(slot) with Value v -> v | Layer _ | Empty -> assert false in
       if not (pred old) then begin
-        Version.unlock b.bversion;
+        Version.unlock (version b);
         None
       end
       else begin
@@ -1391,13 +1376,13 @@ let rec remove_layer t root_ref key off pred =
         (* The slot's contents — suffix blob included — stay readable for
            concurrent readers; the stale bit forces a vinsert bump (and
            the blob's retirement) when an insert reuses the slot. *)
-        Atomic.set b.bperm (perm' :> int);
+        Atomic.set b.perm (perm' :> int);
         Schedpoint.hit sp_remove_cut;
-        b.bstale <- b.bstale lor (1 lsl slot);
+        b.stale <- b.stale lor (1 lsl slot);
         let sz = Permutation.size perm' in
         if sz = 0 then handle_empty t b key off
         else if sz <= merge_threshold then try_coalesce t b
-        else Version.unlock b.bversion;
+        else Version.unlock (version b);
         Some old
       end
 
@@ -1437,20 +1422,20 @@ let rec update_layer t root_ref key off f =
   let hi = Key.slice_hi key ~off and lo = Key.slice_lo key ~off in
   let rem = String.length key - off in
   let b, _ = find_border t root_ref ~hi ~lo in
-  Version.lock b.bversion;
-  let b = advance_locked b ~hi ~lo in
+  Version.lock (version b);
+  let b = advance_locked t b ~hi ~lo in
   match locate b ~hi ~lo ~rem ~key ~off with
   | At (_, slot) ->
-      let old = match b.blv.(slot) with Value v -> v | Layer _ | Empty -> assert false in
-      b.blv.(slot) <- Value (f old);
+      let old = match b.lv.(slot) with Value v -> v | Layer _ | Empty -> assert false in
+      b.lv.(slot) <- Value (f old);
       Schedpoint.hit sp_put_replaced;
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       true
   | At_layer (_, _, r) ->
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       update_layer t r key (off + 8) f
   | Suffix_clash _ | Absent _ ->
-      Version.unlock b.bversion;
+      Version.unlock (version b);
       false
 
 let rec update_attempt t key f =
@@ -1479,7 +1464,7 @@ let update t key f =
 
 exception Scan_done
 
-let new_cursor () =
+let new_cursor nil =
   {
     chi = Array.make width 0;
     clo = Array.make width 0;
@@ -1487,7 +1472,7 @@ let new_cursor () =
     csuf = Array.make width 0;
     clv = Array.make width Empty;
     cn = 0;
-    cnext = None;
+    cnext = nil;
   }
 
 (* [expect] for a forward scan: no anchor. *)
@@ -1505,7 +1490,7 @@ let no_expect = -1
    [no_expect]: split migration only moves keys right, where the [bnext]
    chain still covers them. *)
 let rec cursor_fill t c b ~expect =
-  let v = Version.stable b.bversion in
+  let v = Version.stable (version b) in
   if Version.deleted v || (expect <> no_expect && Version.vsplit v <> Version.vsplit expect)
   then false
   else begin
@@ -1513,11 +1498,11 @@ let rec cursor_fill t c b ~expect =
     let n = Permutation.size perm in
     copy_entries b perm n ~hi:c.chi ~lo:c.clo ~klen:c.cklen ~suf:c.csuf ~lv:c.clv;
     c.cn <- n;
-    c.cnext <- b.bnext;
+    c.cnext <- b.next;
     (* Scan's validation window: a whole node copied out, not yet
        checked (the §4.6.5 scan-vs-split/remove hazard). *)
     Schedpoint.hit sp_snapshot_read;
-    let v' = Atomic.get b.bversion in
+    let v' = Atomic.get (version b) in
     if Version.changed v v' then begin
       Stats.incr t.tstats Stats.Local_retries;
       (* vsplit moved: part of this node's range migrated away (or the
@@ -1532,13 +1517,13 @@ let rec cursor_fill t c b ~expect =
 
 (* ---- the scan state's buffers ---- *)
 
-let new_scan_buf () =
+let new_scan_buf nil =
   {
     kbuf = Bytes.create 64;
     bnd = Bytes.create 64;
     last = Bytes.create 64;
     last_len = -1;
-    cursors = [| new_cursor () |];
+    cursors = [| new_cursor nil |];
   }
 
 (* [b] grown to hold [n] bytes, its contents kept. *)
@@ -1550,11 +1535,11 @@ let grown b n =
     nb
   end
 
-let cursor_at sb depth =
+let cursor_at t sb depth =
   if depth >= Array.length sb.cursors then
     sb.cursors <-
       Array.init (depth + 1) (fun d ->
-          if d < Array.length sb.cursors then sb.cursors.(d) else new_cursor ());
+          if d < Array.length sb.cursors then sb.cursors.(d) else new_cursor t.nil);
   sb.cursors.(depth)
 
 (* The bytes entry [i] stands for within its layer: its slice bytes, then
@@ -1622,12 +1607,12 @@ let touch_values c touch =
 
 (* The domain's idle scan state, or a fresh one when a scan is already
    running on this domain (a callback that scans the same tree). *)
-let take_scan_buf h =
+let take_scan_buf t h =
   match h.spare with
   | Some sb ->
       h.spare <- None;
       sb
-  | None -> new_scan_buf ()
+  | None -> new_scan_buf t.nil
 
 (* ---- forward ---- *)
 
@@ -1643,7 +1628,7 @@ let take_scan_buf h =
    last of its slice, so every later entry of the node is above the
    bound, and the hop after the node rewrites this layer's bound. *)
 let rec scan_layer t sb root_ref depth blen strict touch emit =
-  let c = cursor_at sb depth in
+  let c = cursor_at t sb depth in
   let plen = 8 * depth in
   let blen = ref (Int.max blen plen) and strict = ref strict in
   let rec run () =
@@ -1687,23 +1672,21 @@ let rec scan_layer t sb root_ref depth blen strict touch emit =
             if !passed then emit kend v
         | Layer _ | Value _ | Empty -> passed := false (* below the bound *)
       done;
-      match c.cnext with
-      | Some nx ->
-          (* Keys a split moves right after this fill must not be
-             emitted twice: the next node starts strictly after this
-             node's last entry, if that entry was passed.  One below the
-             bound leaves the bound alone, so it never moves back (the
-             next node may be a split sibling holding keys this scan
-             already emitted). *)
-          if !passed then begin
-            let last = c.cn - 1 in
-            blen := plen + entry_len t c last;
-            sb.bnd <- grown sb.bnd !blen;
-            write_entry t c last sb.bnd plen;
-            strict := true
-          end;
-          walk nx
-      | None -> ()
+      if c.cnext != t.nil then begin
+        (* Keys a split moves right after this fill must not be emitted
+           twice: the next node starts strictly after this node's last
+           entry, if that entry was passed.  One below the bound leaves
+           the bound alone, so it never moves back (the next node may be
+           a split sibling holding keys this scan already emitted). *)
+        if !passed then begin
+          let last = c.cn - 1 in
+          blen := plen + entry_len t c last;
+          sb.bnd <- grown sb.bnd !blen;
+          write_entry t c last sb.bnd plen;
+          strict := true
+        end;
+        walk c.cnext
+      end
     end
   in
   run ()
@@ -1721,7 +1704,7 @@ let run_scan t ~start ~limit layer f =
   if limit <= 0 then 0
   else begin
     let h = handle t in
-    let sb = take_scan_buf h in
+    let sb = take_scan_buf t h in
     sb.last_len <- -1;
     let count = ref 0 in
     let emit klen v =
@@ -1789,7 +1772,7 @@ let scan t ?start ?stop ~limit f =
    unbounded above.  Nothing writes [bnd] during a pass. *)
 let rec scan_rev_layer t sb root_ref depth blen touch emit =
   let max_half = 0xFFFFFFFF in
-  let c = cursor_at sb depth in
+  let c = cursor_at t sb depth in
   let plen = 8 * depth in
   let bounded = blen >= 0 in
   let blen = if bounded then Int.max blen plen else blen in
@@ -1821,7 +1804,7 @@ let rec scan_rev_layer t sb root_ref depth blen touch emit =
                equal to its slice. *)
             ()
       done;
-      let lhi = b.blowhi and llo = b.blowlo in
+      let lhi = b.lowhi and llo = b.lowlo in
       if lhi > 0 || llo > 0 then
         if llo > 0 then run lhi (llo - 1) false else run (lhi - 1) max_half false
     end
@@ -1867,6 +1850,12 @@ type shape = {
   avg_border_fill : float;
 }
 
+(* The live children of interior [i], in order. *)
+let iter_children i f =
+  for j = 0 to i.nkeys do
+    f i.child.(j)
+  done
+
 let shape t =
   let borders = ref 0
   and interiors = ref 0
@@ -1875,24 +1864,23 @@ let shape t =
   and max_depth = ref 0 in
   let rec node n depth =
     if depth > !max_depth then max_depth := depth;
-    match n with
-    | Border b ->
-        incr borders;
-        let perm = border_perm b in
-        entries := !entries + Permutation.size perm;
-        List.iter
-          (fun slot ->
-            match b.blv.(slot) with
-            | Layer r ->
-                incr layers;
-                node !r (depth + 1)
-            | Value _ | Empty -> ())
-          (Permutation.live_slots perm)
-    | Interior i ->
-        incr interiors;
-        for j = 0 to i.inkeys do
-          match i.ichild.(j) with Some c -> node c (depth + 1) | None -> ()
-        done
+    if is_border n then begin
+      incr borders;
+      let perm = border_perm n in
+      entries := !entries + Permutation.size perm;
+      List.iter
+        (fun slot ->
+          match n.lv.(slot) with
+          | Layer r ->
+              incr layers;
+              node !r (depth + 1)
+          | Value _ | Empty -> ())
+        (Permutation.live_slots perm)
+    end
+    else begin
+      incr interiors;
+      iter_children n (fun c -> node c (depth + 1))
+    end
   in
   incr layers;
   node !(t.root) 1;
@@ -1914,20 +1902,16 @@ let shape t =
 let reachable_storage t =
   let cells = ref 0 and blobs = ref 0 in
   let rec node n =
-    match n with
-    | Border b ->
-        incr cells;
-        for slot = 0 to width - 1 do
-          if suffix_handle b slot <> 0 then incr blobs
-        done;
-        List.iter
-          (fun slot ->
-            match b.blv.(slot) with Layer r -> node !r | Value _ | Empty -> ())
-          (Permutation.live_slots (border_perm b))
-    | Interior i ->
-        for j = 0 to i.inkeys do
-          match i.ichild.(j) with Some c -> node c | None -> ()
-        done
+    if is_border n then begin
+      incr cells;
+      for slot = 0 to width - 1 do
+        if suffix_handle n slot <> 0 then incr blobs
+      done;
+      List.iter
+        (fun slot -> match n.lv.(slot) with Layer r -> node !r | Value _ | Empty -> ())
+        (Permutation.live_slots (border_perm n))
+    end
+    else iter_children n node
   in
   node !(t.root);
   (!cells, !blobs)
@@ -1936,81 +1920,72 @@ let pool_consistency t =
   let cells, blobs = reachable_storage t in
   Pool.check_leaks t.pool ~reachable_cells:cells ~reachable_blobs:blobs
 
+(* Every link is checked against the node it should name: a child slot
+   holds a node of the same kind as its siblings whose parent is the
+   interior, slots above nkeys hold nil (a stale child there would keep a
+   dead subtree alive and route a torn read into it), a layer's root has
+   a nil parent, and the border list runs both ways from nil to nil. *)
 let check t =
   let exception Bad of string in
   let fail fmt = Format.kasprintf (fun s -> raise (Bad s)) fmt in
   let rec check_layer root =
-    (match root with
-    | Border b -> check_b b None
-    | Interior i -> check_i i None);
-    (* Verify the border list of this layer is ordered by lowkey. *)
-    let rec leftmost n =
-      match n with
-      | Border b -> b
-      | Interior i -> (
-          match i.ichild.(0) with
-          | Some c -> leftmost c
-          | None -> fail "interior with no child 0")
-    in
+    if root.parent != t.nil then fail "layer root has a parent";
+    check_node root;
+    (* Verify the border list of this layer is ordered by lowkey and
+       doubly linked, nil at both ends. *)
+    let rec leftmost n = if is_border n then n else leftmost n.child.(0) in
+    let first = leftmost root in
+    if first.prev != t.nil then fail "leftmost border has a prev";
     let rec walk_list b =
-      match b.bnext with
-      | None -> ()
-      | Some nx ->
-          if Key.compare_parts nx.blowhi nx.blowlo b.blowhi b.blowlo <= 0 then
-            fail "border list lowkeys not increasing";
-          (match nx.bprev with
-          | Some p when p == b -> ()
-          | _ -> fail "broken prev link");
-          walk_list nx
+      let nx = b.next in
+      if nx != t.nil then begin
+        if Key.compare_parts nx.lowhi nx.lowlo b.lowhi b.lowlo <= 0 then
+          fail "border list lowkeys not increasing";
+        if nx.prev != b then fail "broken prev link";
+        walk_list nx
+      end
     in
-    walk_list (leftmost root)
-  and check_b b parent =
+    walk_list first
+  and check_node n = if is_border n then check_b n else check_i n
+  and check_b b =
     (match Node.check_border b with Ok _ -> () | Error e -> fail "border: %s" e);
-    (match (b.bparent, parent) with
-    | None, None -> ()
-    | Some p, Some q when p == q -> ()
-    | _ -> fail "border parent mismatch");
     (* Entries may legitimately sit below the node's creation-time lowkey:
        deletion without rebalancing (§4.3) lets a node inherit the range of
        a deleted left sibling, and leaf coalescing grows a node's range
        rightward.  The load-bearing bound is the upper one, which the
        rightward split-chasing walk relies on. *)
-    (match b.bnext with
-    | Some nx ->
-        List.iter
-          (fun slot ->
-            if
-              Key.compare_parts (slice_hi b slot) (slice_lo b slot) nx.blowhi
-                nx.blowlo
-              >= 0
-            then fail "entry at or above next node's lowkey")
-          (Permutation.live_slots (border_perm b))
-    | None -> ());
+    let nx = b.next in
+    if nx != t.nil then
+      List.iter
+        (fun slot ->
+          if Key.compare_parts (slice_hi b slot) (slice_lo b slot) nx.lowhi nx.lowlo >= 0
+          then fail "entry at or above next node's lowkey")
+        (Permutation.live_slots (border_perm b));
     List.iter
       (fun slot ->
-        match b.blv.(slot) with
+        match b.lv.(slot) with
         | Layer r -> check_layer !r
         | Value _ -> ()
         | Empty -> fail "live empty slot")
       (Permutation.live_slots (border_perm b))
-  and check_i i parent =
-    (match (i.iparent, parent) with
-    | None, None -> ()
-    | Some p, Some q when p == q -> ()
-    | _ -> fail "interior parent mismatch");
-    if i.inkeys < 0 || i.inkeys > width then fail "interior nkeys out of range";
-    for j = 1 to i.inkeys - 1 do
+  and check_i i =
+    if i.nkeys < 0 || i.nkeys > width then fail "interior nkeys out of range";
+    for j = 1 to i.nkeys - 1 do
       if
         Key.compare_parts (ikey_hi i (j - 1)) (ikey_lo i (j - 1)) (ikey_hi i j)
           (ikey_lo i j)
         >= 0
       then fail "interior keys not sorted"
     done;
-    for j = 0 to i.inkeys do
-      match i.ichild.(j) with
-      | None -> fail "missing child %d" j
-      | Some (Border b) -> check_b b (Some i)
-      | Some (Interior ci) -> check_i ci (Some i)
-    done
+    for j = 0 to width do
+      let c = i.child.(j) in
+      if j > i.nkeys then begin
+        if c != t.nil then fail "stale child %d above nkeys %d" j i.nkeys
+      end
+      else if c == t.nil then fail "missing child %d" j
+      else if is_border c <> is_border i.child.(0) then fail "children of mixed kinds"
+      else if c.parent != i then fail "child %d's parent is not its interior" j
+    done;
+    iter_children i check_node
   in
   match check_layer !(t.root) with () -> Ok () | exception Bad m -> Error m

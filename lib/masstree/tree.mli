@@ -26,7 +26,7 @@
     That condition is checked mechanically: every ordering-sensitive step
     of every operation is a named {!Schedpoint} ([tree.descend.validate],
     [tree.put.published], [tree.split.migrated], [tree.remove.unlinked],
-    [tree.merge.migrated], … — 26 in this module, plus the [ver.*],
+    [tree.merge.migrated], … — 27 in this module, plus the [ver.*],
     [epoch.*] and [tree.pool.*] points), and
     [lib/schedsim] replays the scenarios in [Scenario.scenarios] under
     exhaustive and randomized interleavings of those points, validating
@@ -98,14 +98,14 @@ val multi_get : 'v t -> Key.t array -> 'v option array
     for memory-level parallelism (docs/BATCHING.md).  Each lookup runs a
     per-flight state machine (layer root → interior descent → layer hop
     → border version-validated read → suffix confirmation); one {e round}
-    advances every live flight by one node, and a flight's next node is
-    staged a full round before it is read, so the cache misses of up to
-    [Array.length keys] dependent-load chains land in adjacent,
-    independent steps and overlap in the memory system.  (In this OCaml
-    port the staging round {e is} the prefetch issue: with no non-binding
-    prefetch intrinsic, an early demand load would stall in-order
-    retirement and shrink the very speculation window that produces the
-    overlap — see the note in tree.ml and docs/BATCHING.md §5.)
+    advances every live flight by one node.  Each round first runs a
+    tight {e touch pass} that loads every line the flights' next steps
+    will read (the staged node's version, permutation, cell and value
+    array; a hit's value box and suffix blob), then the step pass, so
+    the cache misses of up to [Array.length keys] dependent-load chains
+    are in flight together instead of one at a time.  (This OCaml port
+    has no non-binding prefetch intrinsic; the touch pass's discarded
+    loads stand in for it — see docs/BATCHING.md §4.)
 
     Re-entry rule: turbulence does {e not} eject a lookup to the
     sequential path — a trie-layer hop re-enters the pipeline at the
@@ -120,7 +120,9 @@ val multi_get : 'v t -> Key.t array -> 'v option array
     This is the path {!Kvstore.Store.multi_get} serves, so the reactor's
     cross-frame merged get batches and the shard router's per-shard
     fan-out both descend pipelined end to end.  Schedule points:
-    [tree.pipeline.round] between rounds plus the plain read protocol's
+    [tree.pipeline.round] between rounds, [tree.pipeline.touched]
+    between a round's touch pass and its step pass, plus the plain read
+    protocol's
     [tree.descend.validate] / [tree.get.read] / [tree.get.advance] per
     flight, so schedsim interleaves writers both between rounds and
     inside a flight's §4.5 read window. *)
@@ -204,8 +206,10 @@ val maintain : 'v t -> unit
 
 val check : 'v t -> (unit, string) result
 (** Deep structural invariant check (single-threaded callers only): node
-    invariants, sorted borders, linked-list order, parent pointers.  For
-    tests. *)
+    invariants, sorted borders, and every link — child slots [0..nkeys]
+    non-nil, of one kind and parented by their interior, slots above
+    [nkeys] nil, the border list ordered and doubly linked with nil at
+    each layer's ends.  For tests. *)
 
 type shape = {
   borders : int;
@@ -228,7 +232,7 @@ val shape : 'v t -> shape
 val root_ref : 'v t -> 'v Node.node ref
 
 val find_border :
-  'v t -> 'v Node.node ref -> hi:int -> lo:int -> 'v Node.border * Version.t
+  'v t -> 'v Node.node ref -> hi:int -> lo:int -> 'v Node.node * Version.t
 (** Descend to the border responsible for the slice given as (hi, lo)
     halves (see {!Key.slice_hi}) and return it with the stable version
     the descent validated it under.  This is the tree's one sequential

@@ -294,16 +294,18 @@ let scenarios : t list =
     {
       name = "pipelined-batch-vs-split";
       descr = "software-pipelined group get races a border split and hops a layer";
-      (* 14 two-apart keys fill one border; the writer's put (k 13) splits
-         it mid-batch.  The prepared lk pair gives the batch a lookup that
-         must hop into a trie layer ([tree.pipeline.layer]); the split's
-         root replacement makes a flight's [stable_root] raise and
-         re-enter the pipeline ([tree.pipeline.restart]). *)
+      (* The prepared lk pair's layer link and 13 two-apart keys fill one
+         border; the writer's put (k 13) splits it mid-batch, between a
+         round's touch pass and its step pass on some schedules.  The lk
+         pair gives the batch a lookup that must hop into a trie layer
+         ([tree.pipeline.layer]); the split's root replacement makes a
+         flight's [stable_root] raise and re-enter the pipeline
+         ([tree.pipeline.restart]). *)
       prepare =
         (fun c ->
-          for i = 0 to 13 do prepop c (k (2 * i)) done;
           prepop c (lk "alpha");
-          prepop c (lk "beta"));
+          prepop c (lk "beta");
+          for i = 0 to 12 do prepop c (k (2 * i)) done);
       tasks =
         [
           ("writer", fun c -> put c (k 13));
@@ -366,29 +368,34 @@ let scenarios : t list =
       name = "layer-collapse-vs-scan";
       descr = "scans through a two-key layer race the removes that collapse it";
       (* The [lk] pair is a trie layer of its own between a lower and a
-         higher layer-0 key.  The remover empties it and runs the
-         collapse task while a scan may be pinned mid-way (as another
-         domain's tick would); a scan that reaches the layer after the
-         collapse finds its root deleted, restarts from the root and must
-         resume strictly after the last key it emitted, rebuilt from the
-         scan's shared key buffer.  The oracle checks every emitted key's
-         bytes (a key never written is a phantom), order and
-         uniqueness. *)
+         higher layer-0 key; the prepare phase already removed one of
+         them.  The remover empties the layer and runs the collapse task
+         while a scan may be pinned mid-way (as another domain's tick
+         would).  A scan that validated the layer link before the
+         collapse and descends after it finds the layer's root deleted,
+         restarts from the root and must resume strictly after the last
+         key it emitted, rebuilt from the scan's shared key buffer.  The
+         scanner runs first and ends with a full forward scan, so the
+         exhaustive exploration's first preemptions land the whole collapse
+         inside that scan's window: a restart that resumed from [start]
+         re-emits "AAAAAAAA-low" within a handful of schedules.  The
+         oracle checks every emitted key's bytes (a key never written is
+         a phantom), order and uniqueness. *)
       prepare =
         (fun c ->
           prepop c "AAAAAAAA-low";
           prepop c (lk "alpha");
           prepop c (lk "beta");
-          prepop c (k 1));
+          prepop c (k 1);
+          preremove c (lk "alpha"));
       tasks =
         [
+          ("scanner", fun c -> scan_rev c; scan ~start:(lk "beta") c; scan c);
           ( "remover",
             fun c ->
-              remove c (lk "alpha");
               remove c (lk "beta");
               run_tasks c;
               maintain c );
-          ("scanner", fun c -> scan c; scan_rev c; scan ~start:(lk "beta") c);
         ];
     };
     {

@@ -264,6 +264,35 @@ let test_scan_rev_split_regression () =
   in
   check_ok "scan_rev-vs-split regression schedule" case.ok
 
+(* A writer step lands between a pipeline round's touch pass and its step
+   pass: some seeded schedule must suspend the reader at
+   [tree.pipeline.touched] and run the writer through one of [points]
+   before the reader resumes, and every schedule tried must pass the
+   oracle. *)
+let reaches_touch_window name ~writer ~points () =
+  let sc = Option.get (Scenario.find name) in
+  let rec window = function
+    | (task, p) :: rest when task = writer -> List.mem p points || window rest
+    | _ -> false
+  in
+  let rec reached = function
+    | ("reader", "tree.pipeline.touched") :: rest -> window rest || reached rest
+    | _ :: rest -> reached rest
+    | [] -> false
+  in
+  let rec try_seed i =
+    i < 400
+    &&
+    let style = if i land 1 = 0 then Sched.Pct else Sched.Uniform in
+    let case =
+      Sched.run_random ~mk:(Scenario.mk sc) ~seed:(Int64.of_int (5000 + i)) ~style
+        ~record_trace:true ()
+    in
+    check_ok (Printf.sprintf "%s seed %d" name i) case.ok;
+    reached case.run.trace || try_seed (i + 1)
+  in
+  Alcotest.(check bool) (name ^ ": writer between touch and step") true (try_seed 0)
+
 let () =
   Alcotest.run "race"
     [
@@ -304,13 +333,20 @@ let () =
           Alcotest.test_case "multi_get vs insert burst" `Quick
             (run_scenario ~budget:300 ~seeds:6 "multiget-vs-insert-burst");
           (* A collapse lands between a scan's validated layer-0 read and
-             its descent into the layer only on some schedules; these
-             seeds include one (resuming a restart from [start] instead
-             of the last emitted key re-emits a key there). *)
+             its descent into the layer only on some schedules (resuming a
+             restart from [start] instead of the last emitted key re-emits
+             a key there); the scenario's own default run reaches them,
+             these extra seeds widen the sweep. *)
           Alcotest.test_case "scan vs layer collapse" `Quick
             (run_scenario ~budget:300 ~seeds:32 "layer-collapse-vs-scan");
           Alcotest.test_case "scan_rev split regression" `Quick
             test_scan_rev_split_regression;
+          Alcotest.test_case "merge between touch and step" `Quick
+            (reaches_touch_window "coalesce-vs-pipelined-get" ~writer:"remover"
+               ~points:[ "tree.pool.retire"; "tree.merge.done" ]);
+          Alcotest.test_case "split between touch and step" `Quick
+            (reaches_touch_window "pipelined-batch-vs-split" ~writer:"writer"
+               ~points:[ "tree.split.migrated"; "tree.split.linked"; "tree.split.root_grown" ]);
         ] );
       ( "mvcc",
         List.map

@@ -192,8 +192,28 @@ let test_retry_rates () =
     true
     (float_of_int root_retries < 0.05 *. float_of_int total)
 
+(* Counters are per domain and summed on read: every get of every
+   domain, plain or batched, is counted once, exited domains included. *)
+let test_stats_per_domain () =
+  let t = Tree.create () in
+  for i = 0 to 99 do
+    ignore (Tree.put t (Printf.sprintf "s%04d" i) i)
+  done;
+  let per = 5000 in
+  ignore
+    (Xutil.Domain_pool.run domains (fun d ->
+         for i = 0 to per - 1 do
+           ignore (Tree.get t (Printf.sprintf "s%04d" ((i + d) mod 100)))
+         done));
+  check_int "gets summed over domains" (domains * per) (Stats.read (Tree.stats t) Stats.Gets);
+  ignore (Tree.multi_get t [| "s0001"; "s0002"; "nope" |]);
+  check_int "batched gets counted per key" ((domains * per) + 3)
+    (Stats.read (Tree.stats t) Stats.Gets);
+  check_int "puts" 100 (Stats.read (Tree.stats t) Stats.Puts)
+
 let suite =
   [
+    Alcotest.test_case "per-domain stats" `Quick test_stats_per_domain;
     Alcotest.test_case "no lost inserts" `Slow test_no_lost_inserts;
     Alcotest.test_case "contended updates" `Slow test_contended_updates;
     Alcotest.test_case "remove/reuse race (4.6.5)" `Slow test_remove_reuse_race;

@@ -323,8 +323,62 @@ let test_pipelined_concurrent () =
          end));
   check_int "no lost keys through multi_get" 0 (Atomic.get bad)
 
+(* Structural links under a shape-changing workload: batches of range
+   inserts and range removes over 8-byte keys (border and interior
+   splits, merges, node deletion) and over keys sharing 8-byte prefixes
+   (layer creation, and collapse once a group empties).  After every
+   batch [Tree.check] walks every link — child slots, parents, the
+   border list — and the pool oracle counts the storage they reach. *)
+let shape_key i =
+  if i < 480 then key8 i
+  else Printf.sprintf "LAYER%03d-%d" ((i - 480) mod 3) (i - 480)
+
+let prop_links_after_batches =
+  let n = 540 in
+  let gen_batch =
+    QCheck.Gen.(triple bool (0 -- (n - 1)) (1 -- 300))
+  in
+  QCheck.Test.make ~name:"links sound after split/merge/layer batches" ~count:40
+    (QCheck.make
+       ~print:
+         QCheck.Print.(list (triple bool int int))
+       QCheck.Gen.(list_size (1 -- 12) gen_batch))
+    (fun batches ->
+      let t = Tree.create () in
+      let model = Hashtbl.create 64 in
+      List.iter
+        (fun (ins, lo, len) ->
+          for i = lo to Int.min (n - 1) (lo + len - 1) do
+            let k = shape_key i in
+            if ins then begin
+              ignore (Tree.put t k i);
+              Hashtbl.replace model k i
+            end
+            else begin
+              ignore (Tree.remove t k);
+              Hashtbl.remove model k
+            end
+          done;
+          Tree.maintain t;
+          (match Tree.check t with
+          | Ok () -> ()
+          | Error m -> QCheck.Test.fail_reportf "check: %s" m);
+          (match Tree.pool_consistency t with
+          | Ok () -> ()
+          | Error m -> QCheck.Test.fail_reportf "pool: %s" m);
+          Hashtbl.iter
+            (fun k v ->
+              if Tree.get t k <> Some v then QCheck.Test.fail_reportf "lost %S" k)
+            model;
+          if Tree.cardinal t <> Hashtbl.length model then
+            QCheck.Test.fail_reportf "cardinal %d, model %d" (Tree.cardinal t)
+              (Hashtbl.length model))
+        batches;
+      true)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_links_after_batches;
     Alcotest.test_case "pipelined equivalence" `Quick test_pipelined_equivalence;
     Alcotest.test_case "pipelined edge batches" `Quick test_pipelined_edge_batches;
     Alcotest.test_case "pipelined concurrent" `Slow test_pipelined_concurrent;

@@ -36,7 +36,7 @@ let test_cell_roundtrip () =
    must leave every other field intact. *)
 let test_packed_cell_fields () =
   let p = Pool.create () in
-  let b = Node.new_border ~pool:p ~isroot:true ~locked:false ~lowhi:0 ~lowlo:0 in
+  let b = Node.new_border (Node.create_nil p) ~isroot:true ~locked:false ~lowhi:0 ~lowlo:0 in
   let m32 = (1 lsl 32) - 1 in
   let edges32 = [ 0; 1; 0x8000_0000; m32 ] in
   let klens = List.init 10 Fun.id in
